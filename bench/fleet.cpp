@@ -1,7 +1,9 @@
 // Fleet capacity bench (edge-service runtime tentpole): devices x RTF
 // table for the arena-backed, batch-scheduled FleetRuntime, plus a naive
-// one-thread-per-device runtime on the same per-device workload as the
-// capacity baseline.
+// one-thread-per-device runtime on the same per-device workload (the same
+// sim::DeviceSession loop) as the capacity baseline. The naive threads are
+// pinned to as many CPUs as the fleet has worker lanes, so the capacity
+// ratio compares equal cores.
 //
 // RTF is the per-device real-time factor: simulated seconds per wall
 // second with every device advancing in lock-step. A runtime serves a
@@ -36,14 +38,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sched.h>
+
 #include "audio/generators.hpp"
-#include "core/mute_device.hpp"
-#include "dsp/fir_filter.hpp"
 #include "sim/fleet.hpp"
+#include "sim/parallel_sweep.hpp"
+#include "sim/session.hpp"
 #include "sim/system.hpp"
 
 namespace {
@@ -119,12 +124,31 @@ Row measure_fleet(const mute::sim::FleetProfile& profile, std::size_t devices,
   return row;
 }
 
+// The first `cores` CPUs this process may run on.
+cpu_set_t first_cpus(std::size_t cores) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) {
+    CPU_ZERO(&allowed);
+    for (std::size_t c = 0; c < cores; ++c) CPU_SET(c, &allowed);
+  }
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::size_t taken = 0;
+  for (int c = 0; c < CPU_SETSIZE && taken < cores; ++c) {
+    if (CPU_ISSET(c, &allowed)) {
+      CPU_SET(c, &set);
+      ++taken;
+    }
+  }
+  return set;
+}
+
 // The baseline the fleet replaces: one OS thread per device, each owning
-// its own heap-constructed device and streaming loop. Warm-up runs
-// untimed per thread; two rendezvous points bracket the timed region so
-// the wall clock covers exactly the same simulated span as the fleet.
+// its own heap-constructed session, all pinned to `cores` CPUs. Warm-up
+// runs untimed per thread; two rendezvous points bracket the timed region
+// so the wall clock covers exactly the same simulated span as the fleet.
 Row measure_naive(const mute::sim::FleetProfile& profile, std::size_t devices,
-                  double sim_s) {
+                  double sim_s, std::size_t cores) {
   const mute::sim::DeviceStreams& s = profile.streams;
   const double fs = s.sample_rate;
   const std::size_t len = profile.length();
@@ -132,6 +156,7 @@ Row measure_naive(const mute::sim::FleetProfile& profile, std::size_t devices,
       len, static_cast<std::size_t>(std::ceil(1.2 * fs)));
   const std::size_t sim_samples =
       std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(sim_s * fs)));
+  const cpu_set_t pinned = first_cpus(cores);
 
   std::atomic<std::size_t> ready{0};
   std::atomic<bool> go{false};
@@ -140,25 +165,19 @@ Row measure_naive(const mute::sim::FleetProfile& profile, std::size_t devices,
   threads.reserve(devices);
   for (std::size_t i = 0; i < devices; ++i) {
     threads.emplace_back([&, i] {
+      sched_setaffinity(0, sizeof pinned, &pinned);
       mute::core::MuteDeviceConfig cfg = s.device;
       cfg.seed = i + 1;
-      mute::core::MuteDevice device(cfg);
-      mute::dsp::FirFilter hse(s.hse_eff);
-      std::vector<mute::Sample> feed(s.x.size());
-      mute::Sample error = 0.0f;
+      mute::sim::DeviceSession session(cfg, s.hse_eff, 0);
+      const std::span<const mute::Sample> d(s.d);
       std::size_t cursor = 0;
       const auto run = [&](std::size_t samples) {
-        for (std::size_t t = 0; t < samples; ++t) {
+        while (samples > 0) {
           if (cursor >= len) cursor = profile.loop_start;
-          for (std::size_t k = 0; k < feed.size(); ++k) {
-            feed[k] = s.x[k][cursor];
-          }
-          const mute::Sample y = device.tick(feed, error);
-          const mute::Sample anti = hse.process(y);
-          const auto at_ear = static_cast<mute::Sample>(
-              static_cast<double>(s.d[cursor]) + static_cast<double>(anti));
-          error = at_ear;
-          ++cursor;
+          const std::size_t n = std::min(samples, len - cursor);
+          session.step(s.x, cursor, d.subspan(cursor, n), {}, {});
+          cursor += n;
+          samples -= n;
         }
       };
       run(warm);
@@ -254,11 +273,13 @@ int main(int argc, char** argv) {
   }
 
   const mute::sim::FleetProfile profile = make_profile();
+  const std::size_t cores =
+      workers == 0 ? mute::sim::default_sweep_workers() : workers;
   std::printf(
-      "fleet capacity bench: <=%zu devices, %zu workers (0=auto), %.2f s "
-      "timed, %zu MiB/tenant arena, %zu-sample blocks, %u hardware "
-      "threads\n\n",
-      max_devices, workers, sim_s, arena_mb, block_samples,
+      "fleet capacity bench: <=%zu devices, %zu workers (naive pinned to "
+      "%zu CPUs), %.2f s timed, %zu MiB/tenant arena, %zu-sample blocks, "
+      "%u hardware threads\n\n",
+      max_devices, cores, cores, sim_s, arena_mb, block_samples,
       std::thread::hardware_concurrency());
 
   std::vector<Row> rows;
@@ -280,9 +301,9 @@ int main(int argc, char** argv) {
     for (std::size_t n = 1; n <= max_devices; n *= 2) {
       const Row row =
           std::strcmp(mode, "fleet") == 0
-              ? measure_fleet(profile, n, workers, sim_s, arena_mb,
+              ? measure_fleet(profile, n, cores, sim_s, arena_mb,
                               block_samples)
-              : measure_naive(profile, n, sim_s);
+              : measure_naive(profile, n, sim_s, cores);
       rows.push_back(row);
       print(row);
       if (row.rtf < 0.5) break;
@@ -313,7 +334,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 2;
     }
-    out << "{\n  \"workers\": " << workers << ",\n  \"sim_seconds\": " << sim_s
+    out << "{\n  \"workers\": " << cores << ",\n  \"sim_seconds\": " << sim_s
         << ",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
         << ",\n  \"fleet_max_realtime\": " << fleet_max
         << ",\n  \"naive_max_realtime\": " << naive_max

@@ -39,12 +39,9 @@
 ///     selection rounds), each of which must say so. An escape without a
 ///     convincing reason is a review failure, not a linter pass.
 ///
-/// Under clang the macros expand to [[clang::annotate]] attributes so the
-/// libclang mode of rt_lint.py sees them in the AST; under GCC (which has
-/// no annotate attribute) they expand to nothing and the linter's
-/// regex/fallback mode recognizes the macro tokens directly in the source
-/// text. Both spellings are therefore load-bearing: do not alias or
-/// wrap these macros (the fallback scanner matches the literal names).
+/// The macros expand to nothing: the linter recognizes the macro tokens
+/// directly in the source text, so do not alias or wrap them (the scanner
+/// matches the literal names).
 ///
 /// Placement: attribute position, before the declaration's return type —
 ///
@@ -55,12 +52,6 @@
 /// Annotate the declaration in the header; the linter unifies it with the
 /// out-of-line definition by qualified name.
 
-#if defined(__clang__)
-#define MUTE_RT_SAFE [[clang::annotate("mute::rt_safe")]]
-#define MUTE_RT_UNSAFE [[clang::annotate("mute::rt_unsafe")]]
-#define MUTE_RT_ESCAPE(reason) [[clang::annotate("mute::rt_escape:" reason)]]
-#else
 #define MUTE_RT_SAFE
 #define MUTE_RT_UNSAFE
 #define MUTE_RT_ESCAPE(reason)
-#endif

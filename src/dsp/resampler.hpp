@@ -48,9 +48,9 @@ std::pair<std::size_t, std::size_t> rational_resample_ratio(double from_rate,
 /// before base = j*M/L, reaching back at most the prototype span — so
 /// carrying that input tail across calls makes block processing
 /// BIT-IDENTICAL to one whole-record batch call, regardless of how the
-/// stream is partitioned. That equivalence is what lets the mesh simulator
-/// stream RF per control block (and retune channels mid-run) while staying
-/// sample-exact with the whole-record pipeline.
+/// stream is partitioned. That equivalence is what lets the device
+/// simulator stream RF per control block (and retune channels mid-run)
+/// while staying sample-exact with the whole-record pipeline.
 class StreamingResampler {
  public:
   StreamingResampler(std::size_t interpolation, std::size_t decimation,

@@ -16,7 +16,6 @@ FleetConfig validate(FleetConfig config) {
   ensure(config.batch_tenants > 0, "fleet batch must be non-empty");
   ensure(config.arena_bytes > 0, "fleet arenas must be non-empty");
   ensure(config.ramp_s >= 0.0, "fleet ramp must be non-negative");
-  ensure(config.window_s > 0.0, "fleet invariant window must be positive");
   return config;
 }
 
@@ -111,29 +110,16 @@ std::uint64_t FleetRuntime::admit(std::size_t profile_id, std::uint64_t seed,
   const std::size_t slot = free_slots_.back();
   free_slots_.pop_back();
 
-  const FleetProfile& p = profiles_[profile_id];
-  const double fs = p.streams.sample_rate;
   const std::uint64_t id = next_id_++;
 
   Tenant& t = tenants_[slot];
   t = Tenant{};
   t.id = id;
   t.profile = profile_id;
-  const auto ramp = static_cast<std::size_t>(config_.ramp_s * fs);
-  if (ramp > 0) {
-    t.state = TenantState::kRampIn;
-    t.gain = 0.0;
-    t.gain_step = 1.0 / static_cast<double>(ramp);
-  } else {
-    t.state = TenantState::kRunning;
-    t.gain = 1.0;
-  }
-  t.win_len = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config_.window_s * fs));
-  t.win_skip_until =
-      static_cast<std::size_t>(config_.invariant_grace_s * fs);
+  t.state = ramp_samples(profile_id) > 0 ? TenantState::kRampIn
+                                         : TenantState::kRunning;
   t.capture = capture_residual;
-  if (capture_residual) t.captured.assign(p.length(), 0.0f);
+  if (capture_residual) t.captured.assign(profiles_[profile_id].length(), 0.0f);
 
   live_.emplace(id, slot);
   pending_admits_.push_back({slot, seed});
@@ -148,7 +134,7 @@ void FleetRuntime::drain(std::uint64_t tenant_id) {
   if (t.state == TenantState::kDraining || t.state == TenantState::kDrained) {
     return;
   }
-  if (t.device == nullptr) {
+  if (t.session == nullptr) {
     // Admitted but never constructed (no block boundary in between):
     // cancel the pending admit and evict straight away.
     pending_admits_.erase(
@@ -162,15 +148,14 @@ void FleetRuntime::drain(std::uint64_t tenant_id) {
     schedule_dirty_ = true;
     return;
   }
-  const double fs = profiles_[t.profile].streams.sample_rate;
-  const auto ramp = static_cast<std::size_t>(config_.ramp_s * fs);
-  if (ramp == 0 || t.gain <= 0.0) {
-    t.gain = 0.0;
-    t.state = TenantState::kDrained;
-  } else {
-    t.gain_step = 1.0 / static_cast<double>(ramp);
-    t.state = TenantState::kDraining;
-  }
+  t.session->fade_out(ramp_samples(t.profile));
+  t.state = t.session->faded_out() ? TenantState::kDrained
+                                   : TenantState::kDraining;
+}
+
+std::size_t FleetRuntime::ramp_samples(std::size_t profile_id) const {
+  return static_cast<std::size_t>(config_.ramp_s *
+                                  profiles_[profile_id].streams.sample_rate);
 }
 
 void FleetRuntime::run_blocks(std::size_t blocks) {
@@ -209,9 +194,11 @@ void FleetRuntime::apply_control() {
       const FleetProfile& p = profiles_[t.profile];
       core::MuteDeviceConfig cfg = p.streams.device;
       cfg.seed = pa.seed;
-      t.device = std::make_unique<core::MuteDevice>(cfg);
-      t.hse = std::make_unique<dsp::FirFilter>(p.streams.hse_eff);
-      t.feed.assign(p.streams.x.size(), 0.0f);
+      t.session = std::make_unique<DeviceSession>(
+          cfg, p.streams.hse_eff,
+          static_cast<std::size_t>(config_.invariant_grace_s *
+                                   p.streams.sample_rate));
+      t.session->ramp_in(ramp_samples(t.profile));
     };
     pool_.run(batch.size(), construct);
     schedule_dirty_ = true;
@@ -231,8 +218,7 @@ void FleetRuntime::evict(std::size_t slot) {
   // Destroy arena-backed objects BEFORE the arena reclaims their bytes;
   // their operator delete is a no-op via the region registry (or a real
   // free when routing is compiled out — either way this order is correct).
-  t.device.reset();
-  t.hse.reset();
+  t.session.reset();
   t = Tenant{};
   arenas_.arena(slot).reset();
   free_slots_.push_back(slot);
@@ -275,75 +261,39 @@ void FleetRuntime::process_item(std::size_t item) {
 void FleetRuntime::process_tenant_block(Tenant& t) {
   const FleetProfile& p = profiles_[t.profile];
   const std::size_t len = p.length();
-  const double fs = p.streams.sample_rate;
-  const std::size_t relay_count = t.feed.size();
-  core::MuteDevice& device = *t.device;
-  dsp::FirFilter& hse = *t.hse;
+  const std::span<const Sample> d(p.streams.d);
+  DeviceSession& session = *t.session;
 
-  for (std::size_t s = 0; s < config_.block_samples; ++s) {
-    if (t.cursor >= len) [[unlikely]] {
+  // A loop wrap splits the block in two: the session steps contiguous
+  // stream spans, so the wrap costs one check per span, not per sample.
+  for (std::size_t left = config_.block_samples; left > 0;) {
+    if (t.cursor >= len) {
       if (p.loop_start == FleetProfile::kNoLoop) {
         // End of a finite session: the tenant auto-drains and is evicted
         // at the next block boundary.
-        t.gain = 0.0;
         t.state = TenantState::kDrained;
-        break;
+        return;
       }
       t.cursor = p.loop_start;
     }
-
-    for (std::size_t k = 0; k < relay_count; ++k) {
-      t.feed[k] = p.streams.x[k][t.cursor];
+    const std::size_t n = std::min(left, len - t.cursor);
+    // Capture the first pass only: until the first wrap the cursor equals
+    // the samples served.
+    std::span<Sample> ear;
+    if (t.capture && session.samples() < len) {
+      ear = std::span<Sample>(t.captured).subspan(t.cursor, n);
     }
-    const Sample y = device.tick(t.feed, t.error);
-    const Sample anti = hse.process(y);
-    const double d = static_cast<double>(p.streams.d[t.cursor]);
-    // gain == 1.0 multiplies exactly, so a running tenant computes the
-    // bit-identical at_ear of run_device_simulation's streaming loop.
-    const Sample at_ear =
-        static_cast<Sample>(d + t.gain * static_cast<double>(anti));
-    t.error = at_ear;
-    if (t.capture) t.captured[t.cursor] = at_ear;
-
-    // Windowed never-louder invariant (PR 2 semantics): compare residual
-    // vs disturbance energy per window; skip windows where the ambient is
-    // essentially silent (power-up lead-in, calibration).
-    t.win_res += static_cast<double>(at_ear) * static_cast<double>(at_ear);
-    t.win_dist += d * d;
-    ++t.win_pos;
-    ++t.cursor;
-    ++t.samples;
-    if (t.win_pos >= t.win_len) {
-      const double mean_dist =
-          t.win_dist / static_cast<double>(t.win_len);
-      if (mean_dist > 1e-12 && t.samples >= t.win_skip_until) {
-        const double excess_db =
-            10.0 * std::log10((t.win_res + 1e-300) / t.win_dist);
-        ++t.windows;
-        if (excess_db > t.worst_excess_db) {
-          t.worst_excess_db = excess_db;
-          t.worst_excess_t_s = static_cast<double>(t.samples) / fs;
-        }
-      }
-      t.win_pos = 0;
-      t.win_res = 0.0;
-      t.win_dist = 0.0;
+    const std::size_t used =
+        session.step(p.streams.x, t.cursor, d.subspan(t.cursor, n), ear, {});
+    t.cursor += used;
+    left -= used;
+    if (session.faded_out()) {
+      t.state = TenantState::kDrained;
+      return;
     }
-
-    if (t.state == TenantState::kRampIn) {
-      t.gain += t.gain_step;
-      if (t.gain >= 1.0) {
-        t.gain = 1.0;
-        t.state = TenantState::kRunning;
-      }
-    } else if (t.state == TenantState::kDraining) {
-      t.gain -= t.gain_step;
-      if (t.gain <= 0.0) {
-        t.gain = 0.0;
-        t.state = TenantState::kDrained;
-        break;
-      }
-    }
+  }
+  if (t.state == TenantState::kRampIn && !session.ramping()) {
+    t.state = TenantState::kRunning;
   }
 }
 
@@ -352,13 +302,17 @@ TenantStats FleetRuntime::snapshot(const Tenant& t, std::size_t slot) const {
   s.id = t.id;
   s.state = t.state;
   s.profile = t.profile;
-  s.samples = t.samples;
-  s.worst_excess_db = t.worst_excess_db;
-  s.worst_excess_t_s = t.worst_excess_t_s;
-  s.windows = t.windows;
-  if (t.device != nullptr) {
-    s.handoff_count = t.device->handoff_count();
-    s.hold_count = t.device->hold_count();
+  if (t.session != nullptr) {
+    const NeverLouderAccountant& acc = t.session->accountant();
+    s.samples = acc.samples();
+    s.windows = acc.windows();
+    s.worst_excess_db = acc.worst_excess_db();
+    if (acc.windows() > 0) {
+      s.worst_excess_t_s = static_cast<double>(acc.worst_window_end()) /
+                           profiles_[t.profile].streams.sample_rate;
+    }
+    s.handoff_count = t.session->device().handoff_count();
+    s.hold_count = t.session->device().hold_count();
   }
   const MonotonicArena& arena = arenas_.arena(slot);
   s.arena_used = arena.used();

@@ -4,14 +4,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
-#include "core/mute_device.hpp"
-#include "dsp/fir_filter.hpp"
+#include "sim/session.hpp"
 #include "sim/system.hpp"
 #include "sim/worker_pool.hpp"
 
@@ -64,11 +64,9 @@ struct FleetConfig {
   /// the anti-noise injection at the ear, Muter/Drainer-style, so admits
   /// and evictions never click.
   double ramp_s = 0.005;
-  /// Never-louder invariant window (PR 2 semantics): residual vs
-  /// disturbance energy compared per window of this many seconds.
-  double window_s = 0.25;
-  /// Invariant grace period after admission: windows ending inside the
-  /// first `invariant_grace_s` of a tenant's life are not scored. A
+  /// Invariant grace period after admission: never-louder windows
+  /// (sim::NeverLouderAccountant) ending inside the first
+  /// `invariant_grace_s` of a tenant's life are not scored. A
   /// cold-started NLMS transiently overshoots while it converges (a few
   /// dB for a fraction of a second right after calibration + first
   /// selection); the never-louder contract is about the served steady
@@ -94,9 +92,9 @@ struct TenantStats {
   std::size_t profile = 0;
   std::uint64_t samples = 0;  // audio samples processed
 
-  // Windowed never-louder invariant (worst window over the tenant's life;
-  // windows where the disturbance is essentially silent — power-up
-  // lead-in — are skipped, matching the soak harness semantics).
+  // Windowed never-louder invariant (worst window over the tenant's life,
+  // scored by the session's NeverLouderAccountant; windows where the
+  // disturbance is essentially silent — power-up lead-in — are skipped).
   double worst_excess_db = -std::numeric_limits<double>::infinity();
   double worst_excess_t_s = -1.0;
   std::size_t windows = 0;
@@ -153,7 +151,8 @@ class FleetRuntime {
   /// tenant id. The slot is claimed immediately (throws when the fleet is
   /// at capacity); device construction runs inside the tenant's arena on
   /// the worker pool at the next block boundary. `capture_residual`
-  /// records the at-ear residual (first pass of the stream) for
+  /// records the at-ear residual of the first pass of the stream (the
+  /// first length() samples served; later passes are not recorded) for
   /// equivalence checks — control-plane memory, not arena.
   std::uint64_t admit(std::size_t profile_id, std::uint64_t seed,
                       bool capture_residual = false);
@@ -195,6 +194,8 @@ class FleetRuntime {
   }
 
  private:
+  /// A tenant is a DeviceSession plus its stream cursor, capture and
+  /// lifecycle state.
   struct Tenant {
     std::uint64_t id = 0;
     std::size_t profile = 0;
@@ -202,26 +203,9 @@ class FleetRuntime {
 
     // Arena-backed (constructed on a worker lane inside the tenant's
     // ScopedArenaAlloc; destroyed before arena reset at eviction).
-    std::unique_ptr<core::MuteDevice> device;
-    std::unique_ptr<dsp::FirFilter> hse;
-    Signal feed;
+    std::unique_ptr<DeviceSession> session;
 
-    Sample error = 0.0f;  // device consumes the PREVIOUS tick's ear field
     std::size_t cursor = 0;
-    std::uint64_t samples = 0;
-
-    double gain = 1.0;       // admission/drain fade on the anti injection
-    double gain_step = 0.0;  // per-sample ramp increment
-
-    std::size_t win_len = 0;
-    std::size_t win_skip_until = 0;  // invariant grace, in samples
-    std::size_t win_pos = 0;
-    double win_res = 0.0;
-    double win_dist = 0.0;
-    double worst_excess_db = -std::numeric_limits<double>::infinity();
-    double worst_excess_t_s = -1.0;
-    std::size_t windows = 0;
-
     bool capture = false;
     Signal captured;  // control-plane memory (preallocated at admit)
   };
@@ -237,10 +221,12 @@ class FleetRuntime {
   void apply_control();
   void evict(std::size_t slot);
   void rebuild_schedule();
+  std::size_t ramp_samples(std::size_t profile_id) const;
   TenantStats snapshot(const Tenant& tenant, std::size_t slot) const;
 
-  /// One tenant, one block: the fleet's RT audio root (rt-lint enforced).
-  /// Runs on a worker lane with the tenant's arena scope installed.
+  /// One tenant, one block: walks the stream cursor (splitting the block
+  /// at a loop wrap) and steps the tenant's session. Runs on a worker lane
+  /// with the tenant's arena scope installed.
   MUTE_RT_SAFE void process_tenant_block(Tenant& tenant);
 
   /// One work item: a contiguous run of `batch_tenants` schedule entries.

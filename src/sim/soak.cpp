@@ -1,12 +1,10 @@
 #include "sim/soak.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "audio/generators.hpp"
 #include "common/error.hpp"
-#include "common/math_utils.hpp"
 #include "common/rng.hpp"
 
 namespace mute::sim {
@@ -88,8 +86,7 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
          "soak supports 2..8 relays");
   const auto episodes = make_soak_episodes(config);
 
-  MeshSimConfig mesh;
-  DeviceSimConfig& dc = mesh.device_sim;
+  DeviceSimConfig dc;
   dc.scene = acoustics::Scene::paper_office();
   // Relays strung between the noise source (x=1.0) and the ear (x=5.0):
   // every one leads the wavefront, nearer relays lead more.
@@ -110,11 +107,10 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   dc.device.hold_timeout_s = 0.3;
   dc.device.lanc.fxlms.mu = 0.3;
   dc.device.lanc.fxlms.leakage = 2e-4;
-  mesh.spectrum_supervision = config.spectrum_supervision;
-  mesh.count_allocations = config.count_allocations;
+  dc.spectrum_supervision = config.spectrum_supervision;
 
   audio::WhiteNoiseSource noise(0.1, config.seed * 31 + 7);
-  const MeshSimResult r = run_mesh_simulation(noise, mesh);
+  const SystemResult r = run_device_simulation(noise, dc);
 
   SoakReport report;
   report.seed = config.seed;
@@ -123,32 +119,22 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   report.episodes = episodes;
 
   // Invariant 1: never meaningfully louder than passive, in any window
-  // after the quiet power-up lead-in. Uses window energy (not samples):
+  // after the quiet power-up lead-in (the device sim's accountant starts
+  // judging 0.1 s after the ambient does). Window energy, not samples:
   // the bound is about audible loudness, not instantaneous overshoot.
-  const auto& res = r.system.residual;
-  const auto& dist = r.system.disturbance;
-  const double fs = r.system.sample_rate;
-  const auto win = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.window_s * fs));
-  const auto first = static_cast<std::size_t>((kCalibrationS + 0.2) * fs);
-  for (std::size_t i0 = first; i0 + win <= res.size(); i0 += win / 2) {
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = i0; i < i0 + win; ++i) {
-      num += static_cast<double>(res[i]) * static_cast<double>(res[i]);
-      den += static_cast<double>(dist[i]) * static_cast<double>(dist[i]);
-    }
-    const double excess_db = power_to_db(num / std::max(den, 1e-20));
-    if (excess_db > report.worst_window_excess_db) {
-      report.worst_window_excess_db = excess_db;
-      report.worst_window_t_s = static_cast<double>(i0) / fs;
-    }
+  const NeverLouderAccountant& acc = r.never_louder;
+  if (acc.windows() > 0) {
+    report.worst_window_excess_db = acc.worst_excess_db();
+    report.worst_window_t_s =
+        static_cast<double>(acc.worst_window_end() - acc.window_samples()) /
+        r.sample_rate;
   }
   report.never_louder =
       report.worst_window_excess_db <= config.louder_margin_db;
 
   // Invariant 2: bounded re-acquisition.
-  report.max_reacquisition_gap_s = r.system.max_reacquisition_gap_s;
-  report.gap_bounded = r.system.max_reacquisition_gap_s <= config.max_gap_bound_s;
+  report.max_reacquisition_gap_s = r.max_reacquisition_gap_s;
+  report.gap_bounded = r.max_reacquisition_gap_s <= config.max_gap_bound_s;
 
   // Invariant 3: allocation-free steady state (vacuous without the
   // operator-new interposition — reported as such, never silently green).
@@ -161,12 +147,12 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
         config.alloc_tick_fraction * static_cast<double>(r.total_ticks);
   }
 
-  report.handoff_count = r.system.handoff_count;
-  report.shadow_handoff_count = r.system.shadow_handoff_count;
-  report.hold_count = r.system.device_hold_count;
+  report.handoff_count = r.handoff_count;
+  report.shadow_handoff_count = r.shadow_handoff_count;
+  report.hold_count = r.device_hold_count;
   report.hop_count = r.hop_count;
   report.tx_step_count = r.tx_step_count;
-  report.link_fault_episodes = r.system.link_fault_episodes;
+  report.link_fault_episodes = r.link_fault_episodes;
   return report;
 }
 

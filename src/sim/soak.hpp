@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/mesh.hpp"
 #include "sim/scenarios.hpp"
+#include "sim/system.hpp"
 
 namespace mute::sim {
 
@@ -32,12 +32,11 @@ struct SoakConfig {
   /// qualified standby exists and "bounded re-acquisition" is a fair ask.
   std::size_t episode_count = 5;
   bool spectrum_supervision = true;
-  bool count_allocations = true;
 
   // --- Invariant bounds -------------------------------------------------
-  /// Never louder than passive: every `window_s` residual window must stay
-  /// below the matching disturbance window + `louder_margin_db`.
-  double window_s = 0.25;
+  /// Never louder than passive: every residual window of the device sim's
+  /// NeverLouderAccountant must stay below the matching disturbance
+  /// window + `louder_margin_db`.
   double louder_margin_db = 3.0;
   /// Longest tolerated out-of-kRunning gap. Generous against the warm
   /// (~0.33 s) path: chaos schedules can fault the standby mid-handoff.
@@ -87,7 +86,8 @@ struct SoakReport {
 std::vector<SoakEpisode> make_soak_episodes(const SoakConfig& config);
 
 /// Run one chaos soak: build the mesh scenario, inject the episode
-/// schedule, run the mesh simulation, and evaluate the invariants.
+/// schedule, run the device simulation with spectrum supervision, and
+/// evaluate the invariants.
 SoakReport run_chaos_soak(const SoakConfig& config);
 
 /// Serialize reports as a JSON array (the CI soak artifact).

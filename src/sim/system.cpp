@@ -6,6 +6,7 @@
 #include "acoustics/transducer.hpp"
 #include "adaptive/sysid.hpp"
 #include "adaptive/causal_wiener.hpp"
+#include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/math_utils.hpp"
 #include "dsp/fir_design.hpp"
@@ -411,8 +412,12 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   return result;
 }
 
-DeviceStreams prepare_device_streams(audio::SoundSource& noise,
-                                     const DeviceSimConfig& config) {
+namespace {
+
+// Steps 1, 2 and 4 of a device-level run: everything upstream of the
+// device except the RF chains.
+DeviceStreams prepare_acoustic_streams(audio::SoundSource& noise,
+                                       const DeviceSimConfig& config) {
   const double fs = config.scene.sample_rate;
   ensure(fs > 0, "scene sample rate must be positive");
   const auto n = static_cast<std::size_t>(config.duration_s * fs);
@@ -470,19 +475,6 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
   // scale-invariant in x, so no downstream compensation is needed.
   for (auto& xs : x) scale_to(xs, 0.1);
 
-  // --- 3. Per-relay RF chains (each with its own fault script) ---------
-  if (config.use_rf_link) {
-    for (std::size_t k = 0; k < relay_count; ++k) {
-      rf::RelayConfig rf_cfg = config.rf;
-      rf_cfg.audio_rate = fs;
-      if (k < config.relay_faults.size()) {
-        rf_cfg.faults = config.relay_faults[k];
-      }
-      rf::RelayLink link(rf_cfg, config.seed + 100 + k);
-      x[k] = link.process(x[k]);
-    }
-  }
-
   // --- 4. Anti-noise plant (latency budget inside, as in the offline
   //        sim) ---------------------------------------------------------
   DeviceStreams streams;
@@ -498,40 +490,141 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
   return streams;
 }
 
+// --- 3. Per-relay RF chains: the one place a relay link is set up (the
+//        scenario's RF config at the scene rate, relay k's fault script,
+//        seed + 100 + k). None without use_rf_link. --------------------
+std::vector<rf::RelayLink> make_relay_links(const DeviceSimConfig& config,
+                                            std::size_t relay_count) {
+  std::vector<rf::RelayLink> links;
+  if (!config.use_rf_link) return links;
+  links.reserve(relay_count);
+  for (std::size_t k = 0; k < relay_count; ++k) {
+    rf::RelayConfig rf_cfg = config.rf;
+    rf_cfg.audio_rate = config.scene.sample_rate;
+    if (k < config.relay_faults.size()) rf_cfg.faults = config.relay_faults[k];
+    links.emplace_back(rf_cfg, config.seed + 100 + k);
+  }
+  return links;
+}
+
+}  // namespace
+
+DeviceStreams prepare_device_streams(audio::SoundSource& noise,
+                                     const DeviceSimConfig& config) {
+  DeviceStreams streams = prepare_acoustic_streams(noise, config);
+  std::vector<rf::RelayLink> links =
+      make_relay_links(config, streams.x.size());
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    streams.x[k] = links[k].process(streams.x[k]);
+  }
+  return streams;
+}
+
 SystemResult run_device_simulation(audio::SoundSource& noise,
                                    const DeviceSimConfig& config) {
-  DeviceStreams streams = prepare_device_streams(noise, config);
+  ensure(config.control_block_s > 0, "control block must be positive");
+  if (config.spectrum_supervision) {
+    ensure(config.use_rf_link,
+           "spectrum supervision needs an RF link to retune");
+    ensure(config.device.link_supervision,
+           "spectrum supervision needs link monitors for adverse evidence");
+  }
+  DeviceStreams streams = prepare_acoustic_streams(noise, config);
   const double fs = streams.sample_rate;
   const std::size_t n = streams.d.size();
   const std::size_t relay_count = streams.x.size();
-  const std::vector<Signal>& x = streams.x;
-  Signal d_ac = std::move(streams.d);
 
-  core::MuteDevice device(streams.device);
-  mute::dsp::FirFilter hse_stream(streams.hse_eff);
+  // --- 5. Persistent RF chains, streamed per control block --------------
+  // Every RF stage is streaming-stateful, so block boundaries are
+  // invisible (the same samples as prepare_device_streams' whole-record
+  // pass) and the planner can retune a link BETWEEN blocks.
+  std::vector<rf::RelayLink> links = make_relay_links(config, relay_count);
 
-  // --- 5. Streaming loop -----------------------------------------------
+  // --- 6. Spectrum planner ----------------------------------------------
+  std::optional<rf::SpectrumPlanner> planner;
+  if (config.spectrum_supervision) {
+    rf::SpectrumPlannerOptions popt = config.planner;
+    popt.channel_count = std::max(popt.channel_count, relay_count);
+    planner.emplace(relay_count, popt);
+    // Mirror the planner's frequency-division assignment into the links so
+    // channel-pinned jammers couple against the channel the relay is
+    // actually on. The channel index is a coupling label only (see
+    // RelayLink::retune), so this does not perturb the benign signal path.
+    for (std::size_t k = 0; k < relay_count; ++k) {
+      links[k].retune(planner->channel_of(k));
+    }
+  }
+
+  // --- 7. Block-stepped device session ----------------------------------
+  // Never-louder windows are judged from 0.1 s after the ambient starts.
+  const std::size_t first_window = static_cast<std::size_t>(
+      (config.device.calibration_s + 0.2) * fs);
+  DeviceSession session(
+      streams.device, streams.hse_eff,
+      first_window + NeverLouderAccountant::window_length(fs));
+  const core::MuteDevice& device = session.device();
   SystemResult result;
   result.sample_rate = fs;
-  result.disturbance = d_ac;
+  result.disturbance = streams.d;
   result.residual.resize(n);
   result.anti_at_ear.resize(n);
-  Signal feed(relay_count, 0.0f);
-  Sample error = 0.0f;  // device consumes the PREVIOUS tick's ear field
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t k = 0; k < relay_count; ++k) feed[k] = x[k][t];
-    const Sample y = device.tick(feed, error);
-    const Sample anti = hse_stream.process(y);
-    const Sample at_ear =
-        static_cast<Sample>(static_cast<double>(d_ac[t]) +
-                            static_cast<double>(anti));
-    error = at_ear;
-    result.residual[t] = at_ear;
-    result.anti_at_ear[t] = anti;
-  }
-  result.ambient_at_ear = std::move(d_ac);
+  const std::span<const Sample> d(streams.d);
+  const std::span<Sample> residual(result.residual);
+  const std::span<Sample> anti(result.anti_at_ear);
+  const auto block = std::max<std::size_t>(
+      1, static_cast<std::size_t>(config.control_block_s * fs));
+  std::vector<Signal> xb(relay_count);  // RF-processed current block
 
-  // --- 6. Diagnostics ---------------------------------------------------
+  for (std::size_t start = 0; start < n; start += block) {
+    const std::size_t len = std::min(block, n - start);
+    if (links.empty()) {
+      session.step(streams.x, start, d.subspan(start, len),
+                   residual.subspan(start, len), anti.subspan(start, len));
+    } else {
+      for (std::size_t k = 0; k < relay_count; ++k) {
+        xb[k] = links[k].process(
+            std::span<const Sample>(streams.x[k]).subspan(start, len));
+      }
+      session.step(xb, 0, d.subspan(start, len), residual.subspan(start, len),
+                   anti.subspan(start, len));
+    }
+
+    // Consult the spectrum planner between blocks: link-monitor evidence
+    // in, channel hops / TX steps out. Only once the device has gone live
+    // (kRunning and beyond): during calibration and listening the noise
+    // record's quiet lead-in makes every monitor report silence, and a
+    // planner fed that evidence would hop relays off perfectly clean
+    // channels before the first selection round.
+    if (planner.has_value() &&
+        device.state() >= core::MuteDevice::State::kRunning) {
+      const double now_s = static_cast<double>(start + len) / fs;
+      for (std::size_t k = 0; k < relay_count; ++k) {
+        const auto* monitor = device.link_monitor(k);
+        if (monitor == nullptr) continue;
+        if (monitor->healthy()) {
+          planner->note_clean(k, now_s);
+        } else {
+          planner->note_adverse(k, now_s);
+        }
+        const auto action = planner->plan(k, now_s);
+        switch (action.kind) {
+          case rf::PlannerActionKind::kHop:
+            links[k].retune(action.channel);
+            ++result.hop_count;
+            break;
+          case rf::PlannerActionKind::kTxStep:
+            links[k].set_tx_gain_db(action.tx_gain_db);
+            ++result.tx_step_count;
+            break;
+          case rf::PlannerActionKind::kNone:
+            break;
+        }
+      }
+    }
+  }
+  result.ambient_at_ear = std::move(streams.d);
+
+  // --- 8. Diagnostics ---------------------------------------------------
   result.noncausal_taps = device.noncausal_taps();
   result.calibration_error_db = device.calibration().final_error_db;
   result.handoff_count = device.handoff_count();
@@ -554,6 +647,16 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
     result.usable_lookahead_s = core::usable_lookahead_s(
         device.measured_lookahead_s(), streams.device.latency);
   }
+  result.final_channels.resize(relay_count, 0);
+  result.final_tx_gain_db.resize(relay_count, 0.0);
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    result.final_channels[k] = links[k].channel();
+    result.final_tx_gain_db[k] = links[k].tx_gain_db();
+  }
+  result.allocating_ticks = session.allocating_ticks();
+  result.total_ticks = session.samples();
+  result.allocation_tracking = RtAllocationGuard::interposition_enabled();
+  result.never_louder = session.accountant();
   return result;
 }
 

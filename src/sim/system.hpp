@@ -12,7 +12,9 @@
 #include "core/mute_device.hpp"
 #include "core/timing.hpp"
 #include "rf/relay.hpp"
+#include "rf/spectrum_plan.hpp"
 #include "sim/passive.hpp"
+#include "sim/session.hpp"
 
 namespace mute::sim {
 
@@ -180,6 +182,24 @@ struct SystemResult {
   double reacquisition_gap_s = 0.0;     // last out-of-kRunning gap
   double max_reacquisition_gap_s = 0.0; // longest such gap over the run
   std::vector<double> relay_active_s;   // kRunning seconds per relay
+
+  // Spectrum supervision diagnostics (run_device_simulation; the hop and
+  // TX-step counts stay 0 with supervision off).
+  std::size_t hop_count = 0;
+  std::size_t tx_step_count = 0;
+  std::vector<std::size_t> final_channels;  // per relay
+  std::vector<double> final_tx_gain_db;     // per relay
+
+  // Allocation accounting (run_device_simulation): device ticks that
+  // heap-allocated. Zero unless the operator-new interposition is
+  // compiled in (allocation_tracking says whether it was).
+  std::uint64_t allocating_ticks = 0;
+  std::uint64_t total_ticks = 0;
+  bool allocation_tracking = false;
+
+  // Never-louder windows of run_device_simulation, scored online. The
+  // first judged window starts 0.1 s after the ambient does.
+  NeverLouderAccountant never_louder;
 };
 
 /// Run a complete ANC simulation: synthesize room channels, calibrate the
@@ -221,6 +241,22 @@ struct DeviceSimConfig {
   /// Device configuration. `sample_rate` and `relay_count` are overridden
   /// from the scene and `relay_positions`.
   core::MuteDeviceConfig device{};
+
+  /// Monitor-driven spectrum supervision: a SpectrumPlanner consulted
+  /// between control blocks retunes links MID-RUN on link-monitor
+  /// evidence (jammer-dodging channel hops, TX-power escalation). Relay k
+  /// starts on channel k (the planner's frequency-division assignment,
+  /// mirrored into each link), so a channel-pinned jammer
+  /// (FaultEvent::jammer_channel >= 0) is dodged by hopping. Requires
+  /// device.link_supervision (the evidence) and use_rf_link (something to
+  /// retune). Off = plain device physics.
+  bool spectrum_supervision = false;
+  rf::SpectrumPlannerOptions planner{};
+  /// RF streaming block and planner consult cadence (16 ms default —
+  /// control-plane latency, far below any fault hold timeout). Every RF
+  /// stage is streaming-stateful, so the block size never reaches the
+  /// audio path.
+  double control_block_s = 0.016;
 };
 
 /// The shared-input half of the device-level simulation: everything
@@ -244,10 +280,11 @@ struct DeviceStreams {
   double sample_rate = 0.0;
 };
 
-/// Synthesize the inputs of a device-level run (steps 1-4 of
-/// run_device_simulation): noise record with quiet lead-in, acoustic
-/// paths, loud-region level normalization, per-relay RF chains, effective
-/// secondary path. Deterministic in (noise, config).
+/// Synthesize the inputs of a device-level run: noise record with quiet
+/// lead-in, acoustic paths, loud-region level normalization, per-relay RF
+/// chains (whole record; run_device_simulation streams the same links per
+/// control block), effective secondary path. Deterministic in
+/// (noise, config).
 DeviceStreams prepare_device_streams(audio::SoundSource& noise,
                                      const DeviceSimConfig& config);
 
@@ -257,14 +294,16 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
 /// honest account of what the ear hears across the device lifecycle);
 /// `reference` is left empty (each relay has its own stream). Failover
 /// diagnostics (handoff_count, reacquisition_gap_s, relay_active_s,
-/// device_hold_count) and the per-relay link-fault tallies are populated.
+/// device_hold_count), the per-relay link-fault tallies, the spectrum
+/// supervision and allocation tallies and the never-louder windows are
+/// populated. One DeviceSession is stepped per control block.
 SystemResult run_device_simulation(audio::SoundSource& noise,
                                    const DeviceSimConfig& config);
 
 namespace detail {
 /// The physically effective secondary path: the acoustic h_se cascaded
 /// with the processing-latency budget realized as a fractional delay.
-/// Shared by the offline, device, and mesh simulations so they model the
+/// Shared by the offline and device simulations so they model the
 /// identical plant.
 std::vector<double> effective_secondary_ir(const std::vector<double>& h_se,
                                            double budget_samples);

@@ -178,7 +178,7 @@ TEST(RelayLink, RetuneComposesWithTheLatencyCache) {
 TEST(RelayLink, RetuneDoesNotPerturbTheBenignPath) {
   // Two identical links, same seed; one retunes mid-stream. With no
   // channel-pinned jammer in the air the received audio must stay
-  // bit-identical — the property that lets the mesh runner retune links
+  // bit-identical — the property that lets the device sim retune links
   // mid-run without disturbing benign-scenario equivalence.
   RelayConfig cfg;
   RelayLink a(cfg, 7);

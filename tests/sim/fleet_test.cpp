@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "audio/source.hpp"
@@ -88,6 +89,80 @@ TEST(Fleet, OutputIsInvariantAcrossWorkerCounts) {
                         one.size() * sizeof(Sample)),
             0)
       << "worker count changed tenant output (DESIGN.md §10 violated)";
+}
+
+// One looped tenant served `blocks` blocks of `block_samples`; returns the
+// fleet so callers can read the capture and the stats.
+std::unique_ptr<FleetRuntime> looped_tenant_run(const FleetProfile& profile,
+                                                std::size_t block_samples,
+                                                std::size_t blocks,
+                                                double ramp_s = 0.0) {
+  FleetConfig fc = quick_fleet(1, 1);
+  fc.block_samples = block_samples;
+  fc.ramp_s = ramp_s;
+  auto fleet = std::make_unique<FleetRuntime>(fc);
+  fleet->admit(fleet->add_profile(profile), 5, /*capture_residual=*/true);
+  fleet->run_blocks(blocks);
+  return fleet;
+}
+
+TEST(Fleet, CaptureKeepsTheFirstPassAcrossALoopWrap) {
+  // The capture is documented as the first pass of the stream: serving
+  // half a pass more (the cursor wraps to loop_start) must not overwrite
+  // it.
+  const DeviceSimConfig cfg = quick_cfg();
+  audio::WhiteNoiseSource noise(0.1, 1011);
+  const FleetProfile profile =
+      make_fleet_profile(noise, cfg, /*loop_steady_state=*/true);
+  constexpr std::size_t kBlock = 256;
+  const std::size_t len = profile.length();
+  ASSERT_EQ(len % kBlock, 0u) << "one pass must end on a block boundary";
+
+  const auto one_pass = looped_tenant_run(profile, kBlock, len / kBlock);
+  const auto one_and_a_half =
+      looped_tenant_run(profile, kBlock, (3 * len / 2) / kBlock);
+  EXPECT_GT(one_and_a_half->stats(1).samples, len);
+
+  const Signal& a = one_pass->captured_residual(1);
+  const Signal& b = one_and_a_half->captured_residual(1);
+  ASSERT_EQ(a.size(), len);
+  ASSERT_EQ(b.size(), len);
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), len * sizeof(Sample)), 0)
+      << "serving past the loop wrap rewrote the first-pass capture";
+}
+
+TEST(Fleet, OutputIsInvariantToBlockSizeAcrossALoopWrap) {
+  // The tenant loop splits a block at the loop wrap; pin that the split
+  // is invisible: blocks of 1, 256 and 2048 samples on a profile whose
+  // length is a multiple of neither 256 nor 2048 (so the wrap lands
+  // mid-block) give the same capture and the same never-louder stats,
+  // which cover the span after the wrap.
+  const DeviceSimConfig cfg = quick_cfg(2.01);
+  audio::WhiteNoiseSource noise(0.1, 1011);
+  const FleetProfile profile =
+      make_fleet_profile(noise, cfg, /*loop_steady_state=*/true);
+  const std::size_t len = profile.length();
+  ASSERT_NE(len % 256, 0u);
+  ASSERT_NE(len % 2048, 0u);
+  constexpr std::size_t kServed = 2048 * 60;  // a multiple of every block
+  ASSERT_GT(kServed, len);
+
+  const auto ref = looped_tenant_run(profile, 1, kServed, 0.005);
+  const TenantStats s_ref = ref->stats(1);
+  EXPECT_EQ(s_ref.samples, kServed);
+  EXPECT_GT(s_ref.windows, 0u);
+  for (const std::size_t block : {std::size_t{256}, std::size_t{2048}}) {
+    const auto run = looped_tenant_run(profile, block, kServed / block, 0.005);
+    EXPECT_EQ(std::memcmp(run->captured_residual(1).data(),
+                          ref->captured_residual(1).data(),
+                          len * sizeof(Sample)),
+              0)
+        << "block " << block << " changed the residual";
+    const TenantStats s = run->stats(1);
+    EXPECT_EQ(s.samples, s_ref.samples) << "block " << block;
+    EXPECT_EQ(s.windows, s_ref.windows) << "block " << block;
+    EXPECT_EQ(s.worst_excess_db, s_ref.worst_excess_db) << "block " << block;
+  }
 }
 
 TEST(Fleet, AdmitDrainChurnReusesSlotsAndKeepsStats) {

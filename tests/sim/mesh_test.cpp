@@ -1,18 +1,20 @@
-// Tests for the N-relay mesh runner (tentpole): with spectrum supervision
-// off it must be bit-identical to run_device_simulation (the RF chains are
-// streaming-stateful, so block streaming is not an approximation), the
-// result must not depend on the control block size, and with supervision
-// on a channel-pinned jammer is dodged by hopping — recovering cancellation
-// on the SAME relay, no handoff spent.
+// Tests for the N-relay mesh, run by run_device_simulation: its per-block
+// RF streaming must be bit-identical to the whole-record RF streams the
+// fleet profiles use (the RF chains are streaming-stateful, so block
+// streaming is not an approximation), with spectrum supervision on the
+// result must not depend on the control block size, and a channel-pinned
+// jammer is dodged by hopping — recovering cancellation on the SAME relay,
+// no handoff spent.
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "acoustics/environment.hpp"
 #include "audio/generators.hpp"
 #include "common/math_utils.hpp"
-#include "sim/mesh.hpp"
+#include "sim/fleet.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
 
@@ -47,61 +49,71 @@ double window_db(const SystemResult& r, double t0, double t1) {
 }
 
 TEST(MeshSim, SupervisionOffIsBitIdenticalToTheDeviceSim) {
+  // The device sim streams RF per control block through persistent links;
+  // a single-tenant fleet replays prepare_device_streams' whole-record RF
+  // pass. Same links, same samples: the residuals must match bit for bit.
   const DeviceSimConfig cfg = two_relay_config();
 
   audio::WhiteNoiseSource noise_a(0.1, 1011);
   const SystemResult device = run_device_simulation(noise_a, cfg);
 
-  MeshSimConfig mesh;
-  mesh.device_sim = cfg;
-  mesh.spectrum_supervision = false;
   audio::WhiteNoiseSource noise_b(0.1, 1011);
-  const MeshSimResult m = run_mesh_simulation(noise_b, mesh);
+  const FleetProfile profile = make_fleet_profile(noise_b, cfg);
+  FleetConfig fc;
+  fc.workers = 1;
+  fc.max_tenants = 1;
+  fc.arena_bytes = std::size_t{64} << 20;
+  fc.ramp_s = 0.0;  // hard admit: gain == 1.0 from the first sample
+  FleetRuntime fleet(fc);
+  const std::uint64_t id =
+      fleet.admit(fleet.add_profile(profile), cfg.device.seed,
+                  /*capture_residual=*/true);
+  fleet.run_blocks(profile.length() / fleet.block_samples() + 2);
+  const Signal& whole_record = fleet.captured_residual(id);
 
-  ASSERT_EQ(m.system.residual.size(), device.residual.size());
-  for (std::size_t i = 0; i < device.residual.size(); ++i) {
-    ASSERT_EQ(m.system.residual[i], device.residual[i])
-        << "mesh residual diverged from the device sim at sample " << i;
-  }
-  ASSERT_EQ(m.system.disturbance.size(), device.disturbance.size());
-  for (std::size_t i = 0; i < device.disturbance.size(); ++i) {
-    ASSERT_EQ(m.system.disturbance[i], device.disturbance[i]);
-  }
-  EXPECT_EQ(m.system.handoff_count, device.handoff_count);
-  EXPECT_EQ(m.system.device_hold_count, device.device_hold_count);
-  EXPECT_EQ(m.hop_count, 0u);
-  EXPECT_EQ(m.tx_step_count, 0u);
+  ASSERT_EQ(whole_record.size(), device.residual.size());
+  EXPECT_EQ(std::memcmp(whole_record.data(), device.residual.data(),
+                        device.residual.size() * sizeof(Sample)),
+            0)
+      << "per-block RF diverged from the whole-record RF streams";
+  ASSERT_EQ(profile.streams.d.size(), device.disturbance.size());
+  EXPECT_EQ(std::memcmp(profile.streams.d.data(), device.disturbance.data(),
+                        device.disturbance.size() * sizeof(Sample)),
+            0);
+  const TenantStats tenant = fleet.stats(id);
+  EXPECT_EQ(tenant.handoff_count, device.handoff_count);
+  EXPECT_EQ(tenant.hold_count, device.device_hold_count);
+  EXPECT_EQ(device.hop_count, 0u);
+  EXPECT_EQ(device.tx_step_count, 0u);
 }
 
 TEST(MeshSim, ControlBlockSizeDoesNotChangeTheResult) {
   // Supervision ON but the scenario benign: the planner consults at every
   // control block yet never acts, so the residual must be invariant to
   // the block size — the streaming-stateful chain property, pinned.
-  MeshSimConfig mesh;
-  mesh.device_sim = two_relay_config();
+  DeviceSimConfig mesh = two_relay_config();
   mesh.spectrum_supervision = true;
   mesh.control_block_s = 0.016;
   audio::WhiteNoiseSource noise_a(0.1, 1011);
-  const MeshSimResult a = run_mesh_simulation(noise_a, mesh);
+  const SystemResult a = run_device_simulation(noise_a, mesh);
   EXPECT_EQ(a.hop_count, 0u) << "benign run must not hop";
 
   mesh.control_block_s = 0.064;
   audio::WhiteNoiseSource noise_b(0.1, 1011);
-  const MeshSimResult b = run_mesh_simulation(noise_b, mesh);
+  const SystemResult b = run_device_simulation(noise_b, mesh);
 
-  ASSERT_EQ(a.system.residual.size(), b.system.residual.size());
-  for (std::size_t i = 0; i < a.system.residual.size(); ++i) {
-    ASSERT_EQ(a.system.residual[i], b.system.residual[i])
+  ASSERT_EQ(a.residual.size(), b.residual.size());
+  for (std::size_t i = 0; i < a.residual.size(); ++i) {
+    ASSERT_EQ(a.residual[i], b.residual[i])
         << "control block size leaked into the audio path at sample " << i;
   }
 }
 
 TEST(MeshSim, RelaysStartOnTheirHomeChannels) {
-  MeshSimConfig mesh;
-  mesh.device_sim = two_relay_config();
+  DeviceSimConfig mesh = two_relay_config();
   mesh.spectrum_supervision = true;
   audio::WhiteNoiseSource noise(0.1, 1011);
-  const MeshSimResult m = run_mesh_simulation(noise, mesh);
+  const SystemResult m = run_device_simulation(noise, mesh);
   ASSERT_EQ(m.final_channels.size(), 2u);
   // Benign run: the frequency-division assignment (relay k on channel k)
   // survives untouched, at nominal TX power.
@@ -121,29 +133,27 @@ TEST(MeshSim, HoppingDodgesAChannelPinnedJammerWithoutAHandoff) {
   constexpr double kFaultLen = 3.0;
   constexpr double kDuration = 9.0;
 
-  MeshSimConfig mesh;
-  mesh.device_sim = two_relay_config();
-  mesh.device_sim.duration_s = kDuration;
+  DeviceSimConfig mesh = two_relay_config();
+  mesh.duration_s = kDuration;
   // Relay 0's home channel is 0 (the planner's frequency-division start).
-  mesh.device_sim.relay_faults = {make_fault_schedule(
+  mesh.relay_faults = {make_fault_schedule(
       FaultScenario::kJammerBurst, kFaultStart, kFaultLen, /*channel=*/0)};
   // A hop resolves the fault in ~2 control rounds (~50 ms), far inside
   // the hold timeout; keep the shadow's fast handoff out of the race so
   // the test pins the hop path, not the failover path.
-  mesh.device_sim.device.hold_timeout_s = 1.0;
-  mesh.device_sim.device.enable_shadow = false;
+  mesh.device.hold_timeout_s = 1.0;
+  mesh.device.enable_shadow = false;
   mesh.spectrum_supervision = true;
 
   audio::WhiteNoiseSource noise(0.1, 1011);
-  const MeshSimResult m = run_mesh_simulation(noise, mesh);
-  const SystemResult& r = m.system;
+  const SystemResult r = run_device_simulation(noise, mesh);
 
   const double pre_db = window_db(r, kFaultStart - 1.5, kFaultStart - 0.1);
   EXPECT_LT(pre_db, -3.0) << "never converged; the scenario is vacuous";
 
   // The planner acted: relay 0 left its jammed home channel.
-  EXPECT_GE(m.hop_count, 1u);
-  EXPECT_NE(m.final_channels[0], 0u);
+  EXPECT_GE(r.hop_count, 1u);
+  EXPECT_NE(r.final_channels[0], 0u);
 
   // The fault was survived WITHOUT spending the standby.
   EXPECT_EQ(r.handoff_count, 0u)
@@ -176,16 +186,15 @@ TEST(MeshSim, HoppingDodgesAChannelPinnedJammerWithoutAHandoff) {
 }
 
 TEST(MeshSim, SupervisionRequiresItsEvidenceSources) {
-  MeshSimConfig mesh;
-  mesh.device_sim = two_relay_config();
+  DeviceSimConfig mesh = two_relay_config();
   mesh.spectrum_supervision = true;
-  mesh.device_sim.device.link_supervision = false;  // no monitor evidence
+  mesh.device.link_supervision = false;  // no monitor evidence
   audio::WhiteNoiseSource noise(0.1, 1011);
-  EXPECT_THROW(run_mesh_simulation(noise, mesh), PreconditionError);
+  EXPECT_THROW(run_device_simulation(noise, mesh), PreconditionError);
 
-  mesh.device_sim.device.link_supervision = true;
-  mesh.device_sim.use_rf_link = false;  // nothing to retune
-  EXPECT_THROW(run_mesh_simulation(noise, mesh), PreconditionError);
+  mesh.device.link_supervision = true;
+  mesh.use_rf_link = false;  // nothing to retune
+  EXPECT_THROW(run_device_simulation(noise, mesh), PreconditionError);
 }
 
 }  // namespace

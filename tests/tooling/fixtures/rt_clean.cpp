@@ -1,9 +1,7 @@
 // rt-lint fixture: a well-behaved RT surface. The gate must PASS this TU.
 //
 // Fixtures are analyzed by tools/rt_lint.py, not compiled into the build;
-// they still use the real annotation header so the clang mode (when
-// libclang is present) sees the same [[clang::annotate]] attributes the
-// production tree carries.
+// they still include the real annotation header, as production code does.
 #include <cstddef>
 
 #include "common/rt_annotations.hpp"

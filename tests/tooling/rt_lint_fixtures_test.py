@@ -3,9 +3,8 @@
 
 Each fixture TU under fixtures/ declares an MUTE_RT_SAFE surface; the bad
 ones hide exactly one class of banned construct on it. The gate must fail
-every bad fixture (exit 1) and pass the clean one (exit 0), in regex mode
-always and in clang mode when libclang is available — a gate that cannot
-see a seeded violation is worse than no gate.
+every bad fixture (exit 1) and pass the clean one (exit 0) — a gate that
+cannot see a seeded violation is worse than no gate.
 
 Also pins the allow-list policy: a justified entry silences exactly its
 (function, construct) pair, and an entry without a justification fails the
@@ -29,8 +28,8 @@ FIXTURES = os.path.join(HERE, "fixtures")
 failures = []
 
 
-def run(fixture, mode, allow="", extra=None):
-    cmd = [sys.executable, RT_LINT, "--mode", mode, "--no-require-roots",
+def run(fixture, allow="", extra=None):
+    cmd = [sys.executable, RT_LINT, "--no-require-roots",
            "--allow", allow, "--src", EMPTY_DIR,
            "--file", os.path.join(FIXTURES, fixture)]
     if extra:
@@ -49,11 +48,6 @@ def check(name, proc, want_exit, want_in_output=()):
         failures.append(name)
 
 
-def clang_mode_available():
-    probe = run("rt_clean.cpp", "clang")
-    return probe.returncode != 2
-
-
 BAD = {
     "rt_bad_alloc.cpp": ("operator-new", "container-growth"),
     "rt_bad_lock.cpp": ("lock",),
@@ -66,22 +60,14 @@ with tempfile.TemporaryDirectory() as tmp:
     EMPTY_DIR = os.path.join(tmp, "empty")
     os.makedirs(EMPTY_DIR)
 
-    modes = ["regex"]
-    if clang_mode_available():
-        modes.append("clang")
-    else:
-        print("clang mode unavailable (no libclang); testing regex mode only")
-
-    for mode in modes:
-        check(f"{mode}: clean fixture passes",
-              run("rt_clean.cpp", mode), 0)
-        for fixture, constructs in BAD.items():
-            check(f"{mode}: {fixture} fails with {'/'.join(constructs)}",
-                  run(fixture, mode), 1, constructs)
+    check("clean fixture passes", run("rt_clean.cpp"), 0)
+    for fixture, constructs in BAD.items():
+        check(f"{fixture} fails with {'/'.join(constructs)}",
+              run(fixture), 1, constructs)
 
     # The JSON report names the violating function and construct.
     report = os.path.join(tmp, "report.json")
-    run("rt_bad_alloc.cpp", "regex", extra=["--report", report])
+    run("rt_bad_alloc.cpp", extra=["--report", report])
     with open(report) as fh:
         data = json.load(fh)
     got = {(v["function"], v["construct"]) for v in data["violations"]}
@@ -100,7 +86,7 @@ with tempfile.TemporaryDirectory() as tmp:
         fh.write("fixture::AllocatingFilter::process | container-growth | "
                  "fixture exercising the allow-list path\n")
     check("allow-list with justifications silences the fixture",
-          run("rt_bad_alloc.cpp", "regex", allow=allow_ok), 0)
+          run("rt_bad_alloc.cpp", allow=allow_ok), 0)
 
     # A justified entry for ONE construct must not silence the other.
     allow_partial = os.path.join(tmp, "allow_partial.txt")
@@ -108,7 +94,7 @@ with tempfile.TemporaryDirectory() as tmp:
         fh.write("fixture::AllocatingFilter::process | operator-new | "
                  "only the new expression is exempt\n")
     check("partial allow-list still fails on the unlisted construct",
-          run("rt_bad_alloc.cpp", "regex", allow=allow_partial), 1,
+          run("rt_bad_alloc.cpp", allow=allow_partial), 1,
           ("container-growth",))
 
     # An entry without a justification is itself a gate failure.
@@ -116,7 +102,7 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(allow_bad, "w") as fh:
         fh.write("fixture::AllocatingFilter::process | operator-new |\n")
     check("allow-list entry without justification fails",
-          run("rt_bad_alloc.cpp", "regex", allow=allow_bad), 1,
+          run("rt_bad_alloc.cpp", allow=allow_bad), 1,
           ("ALLOW-LIST ERROR",))
 
     # Unused entries fail under --strict-allow (rot protection).
@@ -125,12 +111,12 @@ with tempfile.TemporaryDirectory() as tmp:
         fh.write("fixture::NoSuchFilter::process | operator-new | "
                  "stale entry that matches nothing\n")
     check("unused allow-list entry fails under --strict-allow",
-          run("rt_clean.cpp", "regex", allow=allow_unused,
+          run("rt_clean.cpp", allow=allow_unused,
               extra=["--strict-allow"]), 1)
 
     # The real tree must hold the contract (same invocation as CI).
     check("production src/ passes the gate",
-          subprocess.run([sys.executable, RT_LINT, "--mode", "auto"],
+          subprocess.run([sys.executable, RT_LINT],
                          capture_output=True, text=True), 0)
 
 if failures:
