@@ -1,5 +1,5 @@
 // Fleet capacity bench (edge-service runtime tentpole): devices x RTF
-// table for the arena-backed, batch-scheduled FleetRuntime, plus a naive
+// table for the arena-backed, slot-scheduled FleetRuntime, plus a naive
 // one-thread-per-device runtime on the same per-device workload (the same
 // sim::DeviceSession loop) as the capacity baseline. The naive threads are
 // pinned to as many CPUs as the fleet has worker lanes, so the capacity
@@ -16,9 +16,8 @@
 // served steady state.
 //
 // Every number is wall-clock on whatever cores the host grants; on a
-// single-core host the fleet's win is scheduling and locality (no
-// context-switch storm, profile-major batches walking shared stream
-// data), not parallel speedup. DESIGN.md S14 records a measured table.
+// single-core host the fleet's win is scheduling (no context-switch
+// storm), not parallel speedup. DESIGN.md S14 records a measured table.
 //
 // Usage: fleet [--max-devices N] [--workers W] [--sim-seconds S]
 //              [--arena-mb M] [--block SAMPLES] [--skip-naive] [--json PATH]

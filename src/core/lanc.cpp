@@ -56,7 +56,6 @@ LancController::LancController(std::vector<double> secondary_path_estimate,
     fd.mu = opts_.fxlms.mu;
     fd.epsilon = opts_.fxlms.epsilon;
     fd.leakage = opts_.fxlms.leakage;
-    fd.constraint = opts_.fd_constraint;
     fd_engine_ = std::make_unique<mute::adaptive::FdFxlmsEngine>(
         engine_.secondary_path(), fd);
     fd_in_.assign(opts_.fd_block, Sample{0});

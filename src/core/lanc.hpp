@@ -45,8 +45,6 @@ struct LancOptions {
   // the block pipeline, the other half stays with the filter as future
   // taps.
   std::size_t fd_block = 0;
-  mute::adaptive::FdConstraint fd_constraint =
-      mute::adaptive::FdConstraint::kRoundRobin;
 
   // Predictive sound profiling (Section 3.2, opportunity 2).
   bool profiling = false;

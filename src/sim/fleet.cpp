@@ -13,7 +13,6 @@ namespace {
 FleetConfig validate(FleetConfig config) {
   ensure(config.max_tenants > 0, "fleet needs at least one tenant slot");
   ensure(config.block_samples > 0, "fleet block must be non-empty");
-  ensure(config.batch_tenants > 0, "fleet batch must be non-empty");
   ensure(config.arena_bytes > 0, "fleet arenas must be non-empty");
   ensure(config.ramp_s >= 0.0, "fleet ramp must be non-negative");
   return config;
@@ -108,49 +107,52 @@ std::uint64_t FleetRuntime::admit(std::size_t profile_id, std::uint64_t seed,
   ensure(profile_id < profiles_.size(), "admit on unknown fleet profile");
   ensure(!free_slots_.empty(), "fleet at capacity");
   const std::size_t slot = free_slots_.back();
-  free_slots_.pop_back();
-
-  const std::uint64_t id = next_id_++;
+  const FleetProfile& p = profiles_[profile_id];
 
   Tenant& t = tenants_[slot];
   t = Tenant{};
-  t.id = id;
-  t.profile = profile_id;
-  t.state = ramp_samples(profile_id) > 0 ? TenantState::kRampIn
-                                         : TenantState::kRunning;
-  t.capture = capture_residual;
-  if (capture_residual) t.captured.assign(profiles_[profile_id].length(), 0.0f);
+  {
+    // Build inside the slot's arena, reclaiming the previous occupant's
+    // bytes first (a constructor that throws leaves the slot free).
+    MonotonicArena& arena = arenas_.arena(slot);
+    arena.reset();
+    ScopedArenaAlloc scope(arena);
+    core::MuteDeviceConfig cfg = p.streams.device;
+    cfg.seed = seed;
+    t.session = std::make_unique<DeviceSession>(
+        cfg, p.streams.hse_eff,
+        static_cast<std::size_t>(config_.invariant_grace_s *
+                                 p.streams.sample_rate));
+  }
+  t.session->ramp_in(ramp_samples(profile_id));
+  free_slots_.pop_back();
 
-  live_.emplace(id, slot);
-  pending_admits_.push_back({slot, seed});
-  return id;
+  t.id = next_id_++;
+  t.profile = profile_id;
+  t.state = t.session->ramping() ? TenantState::kRampIn
+                                 : TenantState::kRunning;
+  t.capture = capture_residual;
+  if (capture_residual) t.captured.assign(p.length(), 0.0f);
+
+  live_.emplace(t.id, slot);
+  return t.id;
 }
 
 void FleetRuntime::drain(std::uint64_t tenant_id) {
   const auto it = live_.find(tenant_id);
   ensure(it != live_.end(), "drain of unknown fleet tenant");
-  const std::size_t slot = it->second;
-  Tenant& t = tenants_[slot];
+  Tenant& t = tenants_[it->second];
   if (t.state == TenantState::kDraining || t.state == TenantState::kDrained) {
     return;
   }
-  if (t.session == nullptr) {
-    // Admitted but never constructed (no block boundary in between):
-    // cancel the pending admit and evict straight away.
-    pending_admits_.erase(
-        std::remove_if(pending_admits_.begin(), pending_admits_.end(),
-                       [slot](const PendingAdmit& pa) {
-                         return pa.slot == slot;
-                       }),
-        pending_admits_.end());
-    t.state = TenantState::kDrained;
-    evict(slot);
-    schedule_dirty_ = true;
-    return;
-  }
   t.session->fade_out(ramp_samples(t.profile));
-  t.state = t.session->faded_out() ? TenantState::kDrained
-                                   : TenantState::kDraining;
+  if (t.session->faded_out()) {
+    // Already silent (never served, or no fade): nothing left to play.
+    t.state = TenantState::kDrained;
+    evict(it->second);
+  } else {
+    t.state = TenantState::kDraining;
+  }
 }
 
 std::size_t FleetRuntime::ramp_samples(std::size_t profile_id) const {
@@ -160,53 +162,16 @@ std::size_t FleetRuntime::ramp_samples(std::size_t profile_id) const {
 
 void FleetRuntime::run_blocks(std::size_t blocks) {
   for (std::size_t b = 0; b < blocks; ++b) {
-    apply_control();
-    if (!order_.empty()) {
-      const std::size_t items =
-          (order_.size() + config_.batch_tenants - 1) / config_.batch_tenants;
-      pool_.run(items, [this](std::size_t item) { process_item(item); });
+    // Block boundary: evict the tenants that finished draining in the
+    // previous block (on this thread, between pool barriers).
+    for (std::size_t slot = 0; slot < tenants_.size(); ++slot) {
+      if (tenants_[slot].state == TenantState::kDrained) evict(slot);
+    }
+    if (!live_.empty()) {
+      pool_.run(tenants_.size(),
+                [this](std::size_t slot) { process_slot(slot); });
     }
     ++blocks_processed_;
-  }
-}
-
-void FleetRuntime::apply_control() {
-  // 1. Evict tenants that finished draining in the previous block. Their
-  //    arena-backed objects are destroyed here on the control thread (the
-  //    deletes are registry no-ops), then the arena is reclaimed wholesale.
-  for (std::size_t slot = 0; slot < tenants_.size(); ++slot) {
-    if (tenants_[slot].state == TenantState::kDrained) {
-      evict(slot);
-      schedule_dirty_ = true;
-    }
-  }
-
-  // 2. Construct pending admits — in parallel, each inside its tenant's
-  //    arena, so mass admission scales across lanes and never contends on
-  //    the global heap.
-  if (!pending_admits_.empty()) {
-    std::vector<PendingAdmit> batch;
-    batch.swap(pending_admits_);
-    const auto construct = [&](std::size_t i) {
-      const PendingAdmit& pa = batch[i];
-      Tenant& t = tenants_[pa.slot];
-      ScopedArenaAlloc scope(arenas_.arena(pa.slot));
-      const FleetProfile& p = profiles_[t.profile];
-      core::MuteDeviceConfig cfg = p.streams.device;
-      cfg.seed = pa.seed;
-      t.session = std::make_unique<DeviceSession>(
-          cfg, p.streams.hse_eff,
-          static_cast<std::size_t>(config_.invariant_grace_s *
-                                   p.streams.sample_rate));
-      t.session->ramp_in(ramp_samples(t.profile));
-    };
-    pool_.run(batch.size(), construct);
-    schedule_dirty_ = true;
-  }
-
-  if (schedule_dirty_) {
-    rebuild_schedule();
-    schedule_dirty_ = false;
   }
 }
 
@@ -215,47 +180,25 @@ void FleetRuntime::evict(std::size_t slot) {
   completed_.push_back(snapshot(t, slot));
   if (t.capture) completed_residuals_[t.id] = std::move(t.captured);
   live_.erase(t.id);
-  // Destroy arena-backed objects BEFORE the arena reclaims their bytes;
-  // their operator delete is a no-op via the region registry (or a real
-  // free when routing is compiled out — either way this order is correct).
-  t.session.reset();
+  // Arena-backed objects die here; their operator delete is a no-op via
+  // the region registry (or a real free when routing is compiled out).
+  // The bytes are reclaimed when the slot's next tenant is admitted.
   t = Tenant{};
-  arenas_.arena(slot).reset();
   free_slots_.push_back(slot);
 }
 
-void FleetRuntime::rebuild_schedule() {
-  order_.clear();
-  order_.reserve(live_.size());
-  for (const auto& [id, slot] : live_) order_.push_back(slot);
-  // Profile-major, slot-minor: tenants sharing a profile sit contiguously
-  // in the schedule, so one work item's devices walk the same stream data.
-  std::sort(order_.begin(), order_.end(),
-            [this](std::size_t a, std::size_t b) {
-              const std::size_t pa = tenants_[a].profile;
-              const std::size_t pb = tenants_[b].profile;
-              return pa != pb ? pa < pb : a < b;
-            });
-}
-
-void FleetRuntime::process_item(std::size_t item) {
-  const std::size_t begin = item * config_.batch_tenants;
-  const std::size_t end =
-      std::min(order_.size(), begin + config_.batch_tenants);
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t slot = order_[i];
-    Tenant& t = tenants_[slot];
-    if (t.state == TenantState::kDrained) continue;  // drained mid-run
-    // Every allocation the tenant makes during its block — selection
-    // rounds, handoffs, any amortized control event inside tick() — lands
-    // in its arena; the guard counts whatever still escapes to the global
-    // heap and steady_allocations() reports it (expected: zero).
-    ScopedArenaAlloc scope(arenas_.arena(slot));
-    RtAllocationGuard guard(RtAllocationGuard::Mode::kCount, "fleet/block");
-    process_tenant_block(t);
-    steady_allocs_.fetch_add(guard.allocations_since_entry(),
-                             std::memory_order_relaxed);
-  }
+void FleetRuntime::process_slot(std::size_t slot) {
+  Tenant& t = tenants_[slot];
+  if (t.session == nullptr || t.state == TenantState::kDrained) return;
+  // Every allocation the tenant makes during its block — selection
+  // rounds, handoffs, any amortized control event inside tick() — lands
+  // in its arena; the guard counts whatever still escapes to the global
+  // heap and steady_allocations() reports it (expected: zero).
+  ScopedArenaAlloc scope(arenas_.arena(slot));
+  RtAllocationGuard guard(RtAllocationGuard::Mode::kCount, "fleet/block");
+  process_tenant_block(t);
+  steady_allocs_.fetch_add(guard.allocations_since_entry(),
+                           std::memory_order_relaxed);
 }
 
 void FleetRuntime::process_tenant_block(Tenant& t) {

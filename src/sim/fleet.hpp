@@ -21,8 +21,7 @@ namespace mute::sim {
 /// streams (sim::prepare_device_streams — the same code path
 /// run_device_simulation uses, which is what makes a single-tenant fleet
 /// bit-identical to it) plus a loop point. Any number of tenants may share
-/// one profile; the fleet groups tenants of a profile contiguously per
-/// work item so their reads walk the same hot stream data.
+/// one profile.
 struct FleetProfile {
   static constexpr std::size_t kNoLoop =
       std::numeric_limits<std::size_t>::max();
@@ -56,10 +55,6 @@ struct FleetConfig {
   /// Scheduling quantum: each live tenant advances this many samples per
   /// block, then the pool barrier hands tenants back to the control plane.
   std::size_t block_samples = 256;
-  /// Tenants per work item. Batching amortizes the claim/dispatch cost and
-  /// keeps same-profile tenants on one lane (schedule order is
-  /// profile-major).
-  std::size_t batch_tenants = 8;
   /// Admission ramp-in / drain fade, seconds (0 = hard cut). Applied to
   /// the anti-noise injection at the ear, Muter/Drainer-style, so admits
   /// and evictions never click.
@@ -76,8 +71,9 @@ struct FleetConfig {
 };
 
 /// Tenant lifecycle: admit -> ramp-in -> running -> drain -> (evicted).
-/// kDrained tenants are evicted (stats snapshotted, arena reset, slot
-/// freed) at the next block boundary.
+/// kDrained tenants are evicted (stats snapshotted, session destroyed,
+/// slot freed) at the next block boundary, or at once by a drain that
+/// finds the anti-noise already silent.
 enum class TenantState : std::uint8_t {
   kEmpty,
   kRampIn,
@@ -112,19 +108,19 @@ struct TenantStats {
 /// Long-lived fleet runtime: shards up to `max_tenants` MuteDevice
 /// instances across a fixed WorkerPool in `block_samples` quanta.
 ///
-/// Memory: every allocation a tenant makes on a worker lane — device
-/// construction, the amortized control events inside tick() (selection
-/// rounds, handoffs), teardown — lands in that tenant's private
-/// MonotonicArena via ScopedArenaAlloc; the steady state never touches
-/// the global heap from worker threads (RtAllocationGuard-clean, counted
-/// per block and surfaced by steady_allocations()).
+/// Memory: every allocation a tenant makes — device construction at
+/// admit, the amortized control events inside tick() (selection rounds,
+/// handoffs), teardown — lands in that tenant's private MonotonicArena via
+/// ScopedArenaAlloc; the steady state never touches the global heap from
+/// worker threads (RtAllocationGuard-clean, counted per block and surfaced
+/// by steady_allocations()).
 ///
-/// Scheduling: the live-tenant schedule is profile-major (tenants sharing
-/// a profile are contiguous), cut into `batch_tenants` work items, and
-/// dispatched through WorkerPool::run once per block — work stealing over
-/// items, a barrier at the block boundary. The barrier's happens-before
+/// Scheduling: one WorkerPool::run per block with one claim per tenant
+/// slot — work stealing over slots, empty and drained slots return at
+/// once, a barrier at the block boundary. The barrier's happens-before
 /// edge is what lets a tenant migrate between lanes across blocks without
-/// fences in the audio path.
+/// fences in the audio path. Size `max_tenants` to the fleet: every slot
+/// is claimed every block.
 ///
 /// Control plane (admit / drain / evict) runs on the caller's thread at
 /// block boundaries only, so the whole fleet is deterministic in
@@ -148,9 +144,10 @@ class FleetRuntime {
   std::size_t profile_count() const { return profiles_.size(); }
 
   /// Admit a tenant on `profile_id` with its own device seed; returns the
-  /// tenant id. The slot is claimed immediately (throws when the fleet is
-  /// at capacity); device construction runs inside the tenant's arena on
-  /// the worker pool at the next block boundary. `capture_residual`
+  /// tenant id. Throws when the fleet is at capacity. The tenant's session
+  /// is built here, on the caller's thread inside the slot's arena (an
+  /// undersized arena aborts in this call), and serves from the next
+  /// block. `capture_residual`
   /// records the at-ear residual of the first pass of the stream (the
   /// first length() samples served; later passes are not recorded) for
   /// equivalence checks — control-plane memory, not arena.
@@ -158,7 +155,9 @@ class FleetRuntime {
                       bool capture_residual = false);
 
   /// Begin draining a tenant: anti-noise fades out over ramp_s, then the
-  /// tenant is evicted at the following block boundary.
+  /// tenant is evicted at the following block boundary. A tenant whose
+  /// anti-noise is already silent (it never served, or ramp_s == 0) is
+  /// evicted at once.
   void drain(std::uint64_t tenant_id);
 
   /// Advance every live tenant by `blocks` scheduling quanta.
@@ -201,8 +200,8 @@ class FleetRuntime {
     std::size_t profile = 0;
     TenantState state = TenantState::kEmpty;
 
-    // Arena-backed (constructed on a worker lane inside the tenant's
-    // ScopedArenaAlloc; destroyed before arena reset at eviction).
+    // Arena-backed (built at admit inside the slot's ScopedArenaAlloc;
+    // destroyed at eviction, before the arena is reused).
     std::unique_ptr<DeviceSession> session;
 
     std::size_t cursor = 0;
@@ -210,27 +209,19 @@ class FleetRuntime {
     Signal captured;  // control-plane memory (preallocated at admit)
   };
 
-  struct PendingAdmit {
-    std::size_t slot = 0;
-    std::uint64_t seed = 0;
-  };
-
-  /// Block boundary control plane: apply drains, evict kDrained tenants,
-  /// construct pending admits (in parallel, inside their arenas), rebuild
-  /// the profile-major schedule when membership changed.
-  void apply_control();
   void evict(std::size_t slot);
-  void rebuild_schedule();
   std::size_t ramp_samples(std::size_t profile_id) const;
   TenantStats snapshot(const Tenant& tenant, std::size_t slot) const;
+
+  /// One slot, one block, on a worker lane: installs the slot's arena and
+  /// allocation guard around process_tenant_block. Empty and drained
+  /// slots return at once.
+  void process_slot(std::size_t slot);
 
   /// One tenant, one block: walks the stream cursor (splitting the block
   /// at a loop wrap) and steps the tenant's session. Runs on a worker lane
   /// with the tenant's arena scope installed.
   MUTE_RT_SAFE void process_tenant_block(Tenant& tenant);
-
-  /// One work item: a contiguous run of `batch_tenants` schedule entries.
-  void process_item(std::size_t item);
 
   FleetConfig config_;
   std::vector<FleetProfile> profiles_;
@@ -240,9 +231,6 @@ class FleetRuntime {
   std::vector<Tenant> tenants_;  // fixed size: max_tenants slots
   std::vector<std::size_t> free_slots_;
   std::unordered_map<std::uint64_t, std::size_t> live_;  // id -> slot
-  std::vector<PendingAdmit> pending_admits_;
-  std::vector<std::size_t> order_;  // live slots, profile-major
-  bool schedule_dirty_ = false;
 
   std::uint64_t next_id_ = 1;
   std::uint64_t blocks_processed_ = 0;

@@ -26,7 +26,8 @@ namespace mute::sim {
 ///     with no cross-thread traffic at all.
 ///   - Indices are claimed from a shared atomic counter: work stealing,
 ///     because item runtimes vary wildly (scenario sweeps) or moderately
-///     (fleet tenant batches) and static chunking would idle fast workers.
+///     (fleet tenant slots, one claim each) and static chunking would idle
+///     fast workers.
 ///   - The first exception thrown by any body is captured and re-thrown on
 ///     the calling thread after the job drains; remaining un-started
 ///     indices are abandoned at the next claim.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -77,18 +78,74 @@ TEST(Fleet, SingleTenantIsBitIdenticalToRunDeviceSimulation) {
       << "fleet tenant diverged from run_device_simulation";
 }
 
-TEST(Fleet, OutputIsInvariantAcrossWorkerCounts) {
-  const DeviceSimConfig cfg = quick_cfg();
-  audio::WhiteNoiseSource noise(0.1, 1011);
-  const FleetProfile profile = make_fleet_profile(noise, cfg);
+// A churned multi-tenant fleet on two finite profiles: 6 tenants with
+// distinct seeds, the default ramp, every residual captured, and one drain
+// plus one admit mid-run. Runs until every tenant has finished its stream.
+struct ChurnedRun {
+  std::vector<Signal> captures;
+  std::vector<TenantStats> stats;
+};
 
-  const Signal one = fleet_residual(1, profile, 5);
-  const Signal four = fleet_residual(4, profile, 5);
-  ASSERT_EQ(one.size(), four.size());
-  EXPECT_EQ(std::memcmp(one.data(), four.data(),
-                        one.size() * sizeof(Sample)),
-            0)
-      << "worker count changed tenant output (DESIGN.md §10 violated)";
+ChurnedRun churned_fleet_run(std::size_t workers, const FleetProfile& a,
+                             const FleetProfile& b) {
+  FleetConfig fc = quick_fleet(workers, 8);
+  fc.ramp_s = FleetConfig{}.ramp_s;
+  FleetRuntime fleet(fc);
+  const std::size_t pa = fleet.add_profile(a);
+  const std::size_t pb = fleet.add_profile(b);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    ids.push_back(fleet.admit(i % 2 == 0 ? pa : pb, 100 + i,
+                              /*capture_residual=*/true));
+  }
+  fleet.run_blocks(40);  // past calibration: the drain fades live output
+  fleet.drain(ids[1]);
+  ids.push_back(fleet.admit(pb, 200, /*capture_residual=*/true));
+  fleet.run_blocks(blocks_for(fleet, std::max(a.length(), b.length())));
+  EXPECT_EQ(fleet.live_tenants(), 0u);
+
+  ChurnedRun run;
+  for (const std::uint64_t id : ids) {
+    run.captures.push_back(fleet.captured_residual(id));
+    run.stats.push_back(fleet.stats(id));
+  }
+  return run;
+}
+
+TEST(Fleet, OutputIsInvariantAcrossWorkerCounts) {
+  // Tenants migrate between lanes from block to block; with one claim per
+  // slot every multi-worker run spreads them over the helper threads, so
+  // any cross-lane state leak or ordering dependence shows here.
+  audio::WhiteNoiseSource noise_a(0.1, 1011);
+  audio::WhiteNoiseSource noise_b(0.1, 2022);
+  const FleetProfile a = make_fleet_profile(noise_a, quick_cfg(2.0));
+  const FleetProfile b = make_fleet_profile(noise_b, quick_cfg(1.5));
+
+  const ChurnedRun ref = churned_fleet_run(1, a, b);
+  ASSERT_EQ(ref.stats.size(), 7u);
+  EXPECT_LT(ref.stats[1].samples, b.length()) << "the drain cut tenant 1";
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    const ChurnedRun run = churned_fleet_run(workers, a, b);
+    ASSERT_EQ(run.stats.size(), ref.stats.size());
+    for (std::size_t i = 0; i < ref.stats.size(); ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << "workers " << workers << ", tenant " << i);
+      const Signal& want = ref.captures[i];
+      const Signal& got = run.captures[i];
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(Sample)),
+                0)
+          << "worker count changed the output (DESIGN.md §10 violated)";
+      const TenantStats& s = run.stats[i];
+      const TenantStats& r = ref.stats[i];
+      EXPECT_EQ(s.samples, r.samples);
+      EXPECT_EQ(s.windows, r.windows);
+      EXPECT_EQ(s.worst_excess_db, r.worst_excess_db);
+      EXPECT_EQ(s.hold_count, r.hold_count);
+      EXPECT_EQ(s.handoff_count, r.handoff_count);
+    }
+  }
 }
 
 // One looped tenant served `blocks` blocks of `block_samples`; returns the
@@ -219,6 +276,30 @@ TEST(Fleet, DrainBeforeFirstBlockCancelsTheAdmit) {
   fleet.admit(pid, 2);
   fleet.run_blocks(4);
   EXPECT_EQ(fleet.live_tenants(), 1u);
+}
+
+TEST(Fleet, AdmitThatCannotBuildTheDeviceLeavesTheSlotFree) {
+  // admit() builds the device at once; a constructor that throws must
+  // leave the slot, and its arena, as if the admit never happened.
+  const DeviceSimConfig cfg = quick_cfg();
+  audio::WhiteNoiseSource noise(0.1, 2022);
+  const FleetProfile good = make_fleet_profile(noise, cfg);
+  FleetProfile bad = good;
+  bad.streams.device.lanc.engine = core::LancEngineKind::kFdBlock;
+
+  const auto served_arena = [&](bool failed_admit_first) {
+    FleetRuntime fleet(quick_fleet(1, 1));
+    const std::size_t pbad = fleet.add_profile(bad);
+    const std::size_t pgood = fleet.add_profile(good);
+    if (failed_admit_first) {
+      EXPECT_THROW(fleet.admit(pbad, 1), PreconditionError);
+      EXPECT_EQ(fleet.live_tenants(), 0u);
+    }
+    const std::uint64_t id = fleet.admit(pgood, 2);
+    fleet.run_blocks(4);
+    return fleet.stats(id).arena_used;
+  };
+  EXPECT_EQ(served_arena(true), served_arena(false));
 }
 
 TEST(Fleet, SteadyStateIsAllocationCleanOnWorkerLanes) {

@@ -21,13 +21,19 @@
 #                 per-tenant never-louder verdicts plus the zero
 #                 worker-lane heap traffic contract of the fleet runtime;
 #                 writes fleet-soak-report.json (DESIGN.md §14)
+#   8. bench-smoke : fleetbench/run.py on every workload for one short
+#                 traced seed — builds the harness against the public
+#                 fleet API and exits non-zero when its checks fail
+#                 (bit-identical single-thread replay, zero worker-lane
+#                 heap allocations, finite metrics)
 #
 # `rt-lint` is also available standalone (subset of analyze): it re-runs
 # only the static RT-safety gate, seconds instead of a full tidy sweep.
 #
 # Usage: tools/ci.sh [plain|sanitize|tsan|analyze|rt-lint|perf|soak-smoke|
-#                     fleet-smoke]...
-#        (default: plain sanitize tsan analyze perf soak-smoke fleet-smoke)
+#                     fleet-smoke|bench-smoke]...
+#        (default: plain sanitize tsan analyze perf soak-smoke fleet-smoke
+#         bench-smoke)
 #
 # Every ctest run carries --timeout 900: a hung test (deadlock, runaway
 # convergence loop) fails after 15 minutes instead of wedging the job.
@@ -107,8 +113,20 @@ run_fleet_smoke() {
     --devices 64 --sim-seconds 3 --json fleet-soak-report.json
 }
 
+# The fleet serving benchmark at smoke length: one traced seed per
+# workload (5-13 s each after a one-off harness build into .bench_build/).
+# Failed tenant sessions are reported, not gating; check failures exit
+# non-zero.
+run_bench_smoke() {
+  echo "=== job: bench smoke (fleetbench checks) ==="
+  for workload in serve-steady serve-lowlat churn-mixed; do
+    python3 fleetbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 1
+  done
+}
+
 if [[ $# -eq 0 ]]; then
-  set -- plain sanitize tsan analyze perf soak-smoke fleet-smoke
+  set -- plain sanitize tsan analyze perf soak-smoke fleet-smoke bench-smoke
 fi
 
 for job in "$@"; do
@@ -121,10 +139,11 @@ for job in "$@"; do
     perf) run_perf ;;
     soak-smoke) run_soak_smoke ;;
     fleet-smoke) run_fleet_smoke ;;
+    bench-smoke) run_bench_smoke ;;
     *)
       echo "unknown job: $job" \
         "(expected plain|sanitize|tsan|analyze|rt-lint|perf|soak-smoke|" \
-        "fleet-smoke)" >&2
+        "fleet-smoke|bench-smoke)" >&2
       exit 2
       ;;
   esac

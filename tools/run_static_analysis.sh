@@ -52,10 +52,10 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-if [[ ! -f "$BUILD_DIR/compile_commands.json" ]]; then
-  echo "== configuring tidy preset (compilation database) =="
-  cmake --preset tidy -S "$ROOT" -B "$BUILD_DIR"
-fi
+# Configure every run: a kept (or CI-cached) database would still list
+# translation units that have since been deleted or renamed.
+echo "== configuring tidy preset (compilation database) =="
+cmake --preset tidy -S "$ROOT" -B "$BUILD_DIR"
 
 if [[ "$RUN_TIDY" == 1 ]]; then
   if command -v clang-tidy > /dev/null 2>&1; then
