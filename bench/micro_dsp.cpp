@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/gcc_phat.hpp"
 #include "core/lanc.hpp"
+#include "core/relay_select.hpp"
 #include "core/shadow_filter.hpp"
 #include "dsp/convolution.hpp"
 #include "dsp/fft.hpp"
@@ -425,6 +426,41 @@ void BM_GccPhat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GccPhat);
+
+// One steady-state RelaySelector round at the fleet's 0.5 s period (16 kHz,
+// 16384-point transforms) with Arg relays: the capture of a whole period is
+// untimed; the push that completes it, and so runs the round, is timed.
+void BM_SelectionRound(benchmark::State& state) {
+  const auto relays = static_cast<std::size_t>(state.range(0));
+  const double fs = 16000.0;
+  core::RelaySelector selector(relays, fs, 0.5);
+  const auto period = static_cast<std::size_t>(0.5 * fs);
+  Rng rng(9);
+  Signal src(period);
+  for (auto& v : src) v = static_cast<Sample>(rng.gaussian(0.2));
+  std::vector<Sample> feed(relays);
+  const auto fill = [&](std::size_t t) {
+    for (std::size_t k = 0; k < relays; ++k) {
+      feed[k] = src[(t + 40 * (k + 1)) % period];
+    }
+  };
+  for (std::size_t t = 0; t < period; ++t) {  // one warm-up round
+    fill(t);
+    selector.push(feed, src[t]);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t t = 0; t + 1 < period; ++t) {
+      fill(t);
+      selector.push(feed, src[t]);
+    }
+    fill(period - 1);
+    state.ResumeTiming();
+    const auto round = selector.push(feed, src[period - 1]);
+    benchmark::DoNotOptimize(round->chosen);
+  }
+}
+BENCHMARK(BM_SelectionRound)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -50,7 +50,7 @@ int main() {
     for (std::size_t t = 0; t < ear.size(); ++t) {
       const Sample relay_samples[] = {streams[0][t], streams[1][t],
                                       streams[2][t]};
-      if (auto fresh = selector.push(relay_samples, ear[t])) sel = fresh;
+      if (auto fresh = selector.push(relay_samples, ear[t])) sel = *fresh;
     }
     std::printf("source at (%.1f, %.1f): ", pos.x, pos.y);
     if (sel && sel->chosen) {

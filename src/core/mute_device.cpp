@@ -337,7 +337,7 @@ void MuteDevice::update_standby(const RelaySelection& selection) {
   // rank nobody — the list from the last loud interval (kListening,
   // kHolding) stands until a better round or the age-out replaces it.
   if (selection.ranked.empty()) return;
-  standby_ = selection.ranked;
+  standby_ = selection.ranked;  // within capacity reserved to relay_count
   standby_age_ = 0;
   refresh_shadow_target();
 }

@@ -174,13 +174,7 @@ class MuteDevice {
       "end of calibration: sysid batch solve + LANC construction, runs "
       "exactly once per power-up, not per sample; DESIGN.md \u00a711")
   void finish_calibration();
-  MUTE_RT_ESCAPE(
-      "selection-round landing: runs once per selection_period_s (1 s "
-      "default), re-ranks relays and may re-associate; DESIGN.md \u00a711")
   void handle_selection(const RelaySelection& selection);
-  MUTE_RT_ESCAPE(
-      "standby-list refresh inside a selection round (copies the ranked "
-      "vector); same once-per-period cadence as handle_selection")
   void update_standby(const RelaySelection& selection);
   std::optional<RelayMeasurement> pick_standby() const;
   bool relay_healthy(std::size_t relay) const;

@@ -6,31 +6,32 @@
 
 namespace mute::core {
 
-RelaySelection select_relay(std::span<const Signal> relay_streams,
-                            std::span<const Sample> error_mic_stream,
-                            double sample_rate,
-                            const RelaySelectorOptions& options) {
-  ensure(!relay_streams.empty(), "need at least one relay stream");
-  RelaySelection out;
-  out.all.reserve(relay_streams.size());
-  for (std::size_t i = 0; i < relay_streams.size(); ++i) {
-    ensure(relay_streams[i].size() == error_mic_stream.size(),
-           "relay and error-mic records must be aligned");
-    const auto g = gcc_phat(relay_streams[i], error_mic_stream, sample_rate,
-                            options.max_lag_s);
-    RelayMeasurement m;
-    m.relay_index = i;
-    m.lookahead_s = g.peak_lag_s;  // positive: ear lags the relay
-    m.confidence = g.peak_value;
-    out.all.push_back(m);
+namespace {
+
+// A selection whose vectors already hold room for `relays` measurements.
+RelaySelection sized_selection(std::size_t relays) {
+  RelaySelection s;
+  s.all.resize(relays);
+  s.ranked.reserve(relays);
+  return s;
+}
+
+// Fills `out` (from sized_selection) with one round's measurements, reusing
+// its storage: the ranking is a copy of `all` within reserved capacity,
+// filtered and sorted in place, so a round allocates nothing.
+void rank_round(std::span<const GccPhatPeak> peaks,
+                const RelaySelectorOptions& options, RelaySelection& out) {
+  for (std::size_t i = 0; i < peaks.size(); ++i) {
+    // Positive lag: the ear lags the relay, i.e. positive lookahead.
+    out.all[i] = RelayMeasurement{i, peaks[i].lag_s, peaks[i].value};
   }
   // Rank every confident, positive-lookahead candidate (descending
   // lookahead); the winner is the head, the rest are warm standbys.
-  for (const auto& m : out.all) {
-    if (m.confidence < options.min_confidence) continue;
-    if (m.lookahead_s < options.min_lookahead_s) continue;
-    out.ranked.push_back(m);
-  }
+  out.ranked = out.all;
+  std::erase_if(out.ranked, [&](const RelayMeasurement& m) {
+    return m.confidence < options.min_confidence ||
+           m.lookahead_s < options.min_lookahead_s;
+  });
   std::sort(out.ranked.begin(), out.ranked.end(),
             [](const RelayMeasurement& a, const RelayMeasurement& b) {
               if (a.lookahead_s != b.lookahead_s) {
@@ -38,20 +39,46 @@ RelaySelection select_relay(std::span<const Signal> relay_streams,
               }
               return a.relay_index < b.relay_index;  // deterministic ties
             });
+  out.chosen = std::nullopt;
   if (!out.ranked.empty()) out.chosen = out.ranked.front();
+}
+
+std::size_t period_samples(double period_s, double sample_rate) {
+  const auto n = static_cast<std::size_t>(period_s * sample_rate);
+  ensure(n >= 256, "selection period too short");
+  return n;
+}
+
+}  // namespace
+
+RelaySelection select_relay(std::span<const Signal> relay_streams,
+                            std::span<const Sample> error_mic_stream,
+                            double sample_rate,
+                            const RelaySelectorOptions& options) {
+  ensure(!relay_streams.empty(), "need at least one relay stream");
+  for (const Signal& stream : relay_streams) {
+    ensure(stream.size() == error_mic_stream.size(),
+           "relay and error-mic records must be aligned");
+  }
+  GccPhatPlan plan(error_mic_stream.size(), relay_streams.size(), sample_rate,
+                   options.max_lag_s);
+  for (std::size_t i = 0; i < relay_streams.size(); ++i) {
+    std::copy(relay_streams[i].begin(), relay_streams[i].end(),
+              plan.reference(i).begin());
+  }
+  std::copy(error_mic_stream.begin(), error_mic_stream.end(),
+            plan.delayed().begin());
+  RelaySelection out = sized_selection(relay_streams.size());
+  rank_round(plan.correlate({}), options, out);
   return out;
 }
 
 RelaySelector::RelaySelector(std::size_t relay_count, double sample_rate,
                              double period_s, RelaySelectorOptions options)
-    : fs_(sample_rate),
-      period_samples_(static_cast<std::size_t>(period_s * sample_rate)),
-      opts_(options), relays_(relay_count) {
-  ensure(relay_count >= 1, "need at least one relay");
-  ensure(period_samples_ >= 256, "selection period too short");
-  for (auto& r : relays_) r.reserve(period_samples_);
-  error_.reserve(period_samples_);
-}
+    : opts_(options),
+      plan_(period_samples(period_s, sample_rate), relay_count, sample_rate,
+            options.max_lag_s),
+      selection_(sized_selection(relay_count)) {}
 
 double standby_score(const RelayMeasurement& m, double needed_lookahead_s) {
   ensure(needed_lookahead_s > 0.0, "needed lookahead must be positive");
@@ -60,22 +87,20 @@ double standby_score(const RelayMeasurement& m, double needed_lookahead_s) {
   return m.confidence * usable;
 }
 
-std::optional<RelaySelection> RelaySelector::push(
-    std::span<const Sample> relay_samples, Sample error_mic_sample) {
-  ensure(relay_samples.size() == relays_.size(),
+SelectionRef RelaySelector::push(std::span<const Sample> relay_samples,
+                                 Sample error_mic_sample) {
+  ensure(relay_samples.size() == relay_count(),
          "one sample per relay required");
-  for (std::size_t i = 0; i < relays_.size(); ++i) {
-    relays_[i].push_back(relay_samples[i]);
+  for (std::size_t i = 0; i < relay_samples.size(); ++i) {
+    plan_.reference(i)[filled_] = relay_samples[i];
   }
-  error_.push_back(error_mic_sample);
-  if (error_.size() < period_samples_) return std::nullopt;
+  plan_.delayed()[filled_] = error_mic_sample;
+  if (++filled_ < plan_.record_length()) return {};
 
-  RelaySelection sel =
-      select_relay(relays_, error_, fs_, opts_);
-  latest_ = sel;
-  for (auto& r : relays_) r.clear();
-  error_.clear();
-  return sel;
+  filled_ = 0;
+  rank_round(plan_.correlate({}), opts_, selection_);
+  has_round_ = true;
+  return SelectionRef(selection_);
 }
 
 }  // namespace mute::core

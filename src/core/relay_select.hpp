@@ -57,36 +57,52 @@ RelaySelection select_relay(
     std::span<const Sample> error_mic_stream, double sample_rate,
     const RelaySelectorOptions& options = {});
 
+/// A completed selection round, viewed in place: the RelaySelector reuses
+/// the selection's storage every round, so the view stays valid (and sees
+/// the newer round) until the selector is destroyed. Empty before the
+/// first round completes.
+class SelectionRef {
+ public:
+  SelectionRef() = default;
+  explicit SelectionRef(const RelaySelection& selection) : sel_(&selection) {}
+
+  bool has_value() const { return sel_ != nullptr; }
+  explicit operator bool() const { return has_value(); }
+  const RelaySelection& operator*() const { return *sel_; }
+  const RelaySelection* operator->() const { return sel_; }
+
+ private:
+  const RelaySelection* sel_ = nullptr;
+};
+
 /// Streaming wrapper that accumulates synchronized relay/error-mic audio
 /// and re-runs selection every `period_s` (the paper correlates
-/// periodically to track moving sources).
+/// periodically to track moving sources). Everything a round needs — the
+/// capture records, one GCC-PHAT plan and the RelaySelection it fills — is
+/// sized at construction, so push() never allocates.
 class RelaySelector {
  public:
   RelaySelector(std::size_t relay_count, double sample_rate,
                 double period_s = 0.5, RelaySelectorOptions options = {});
 
   /// Push one synchronized sample per relay plus the error-mic sample.
-  /// Returns a fresh selection when a period completes, nullopt otherwise.
-  MUTE_RT_ESCAPE(
-      "selection capture: appends into reserve()d period buffers per tick "
-      "and runs a full GCC-PHAT selection round once per period_s; the "
-      "periodic round is amortized control-plane work the design knowingly "
-      "runs on the audio thread (DESIGN.md \u00a711)")
-  std::optional<RelaySelection> push(std::span<const Sample> relay_samples,
-                                     Sample error_mic_sample);
+  /// Returns the fresh selection when a period completes, empty otherwise.
+  MUTE_RT_SAFE SelectionRef push(std::span<const Sample> relay_samples,
+                                 Sample error_mic_sample);
 
   /// Most recent completed selection (empty before the first period).
-  const std::optional<RelaySelection>& current() const { return latest_; }
+  SelectionRef current() const {
+    return has_round_ ? SelectionRef(selection_) : SelectionRef();
+  }
 
-  std::size_t relay_count() const { return relays_.size(); }
+  std::size_t relay_count() const { return plan_.references(); }
 
  private:
-  double fs_;
-  std::size_t period_samples_;
   RelaySelectorOptions opts_;
-  std::vector<Signal> relays_;
-  Signal error_;
-  std::optional<RelaySelection> latest_;
+  GccPhatPlan plan_;
+  std::size_t filled_ = 0;
+  RelaySelection selection_;
+  bool has_round_ = false;
 };
 
 }  // namespace mute::core

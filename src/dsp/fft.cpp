@@ -1,6 +1,7 @@
 #include "dsp/fft.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <mutex>
 
@@ -22,25 +23,37 @@ void bit_reverse_permute(std::span<Complex> data) {
   }
 }
 
-// Forward twiddle table for every stage length up to kMaxTwiddleFft,
-// shared by all transforms: tw[len / 2 + k] = exp(-2*pi*i * k / len) for
-// k in [0, len/2) (the inverse transform conjugates on the fly). Stage
-// slices never overlap — offsets 1, 2, 4, ... partition [1, n). Static
-// storage filled once under std::call_once: fft_inplace stays heap-
-// allocation-free and safe to call from the RT path; larger (control-
-// plane-sized) transforms fall back to the twiddle recurrence.
-constexpr std::size_t kMaxTwiddleFft = 8192;
-std::array<double, 2 * kMaxTwiddleFft> g_twiddles;
-std::once_flag g_twiddles_once;
+// Forward twiddle table shared by all transforms: tw[len / 2 + k] =
+// exp(-2*pi*i * k / len) for k in [0, len/2) (the inverse transform
+// conjugates on the fly). Stage slices never overlap — offsets 1, 2, 4, ...
+// partition [1, n) — so each stage is built once, on first use, under its
+// own std::once_flag, into static storage: a table transform stays heap-
+// allocation-free and safe to call from the RT path.
+//
+// fft_inplace reads the table up to kGenericTableFft points and keeps the
+// twiddle recurrence above, so the long generic transforms (fast
+// convolution, Welch over long records) give the same output as before the
+// table grew; only fft_table_inplace, whose callers build the large stages
+// up front with prepare_twiddle_table(), reads them.
+constexpr std::size_t kGenericTableFft = 8192;
+std::array<double, 2 * kMaxTableFft> g_twiddles;
+std::array<std::once_flag, std::bit_width(kMaxTableFft) - 1> g_stage_once;
 
-void build_twiddles() {
-  for (std::size_t len = 2; len <= kMaxTwiddleFft; len <<= 1) {
-    double* t = g_twiddles.data() + len;  // complex offset len/2
-    const double angle = -kTwoPi / static_cast<double>(len);
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      t[2 * k] = std::cos(angle * static_cast<double>(k));
-      t[2 * k + 1] = std::sin(angle * static_cast<double>(k));
-    }
+void build_stage(std::size_t len) {
+  double* t = g_twiddles.data() + len;  // complex offset len/2
+  const double angle = -kTwoPi / static_cast<double>(len);
+  for (std::size_t k = 0; k < len / 2; ++k) {
+    t[2 * k] = std::cos(angle * static_cast<double>(k));
+    t[2 * k + 1] = std::sin(angle * static_cast<double>(k));
+  }
+}
+
+// Makes the table cover every stage of an n-point transform
+// (n <= kMaxTableFft).
+void ensure_twiddles(std::size_t n) {
+  std::size_t stage = 0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    std::call_once(g_stage_once[stage++], build_stage, len);
   }
 }
 
@@ -48,13 +61,15 @@ void build_twiddles() {
 // NaN-propagating __muldc3 helper, and the twiddle *recurrence* forms a
 // serial dependency chain through every butterfly — together they made
 // this the hot-path bottleneck (the block LANC engine is FFT-bound).
-void fft_core(std::span<Complex> data, bool inverse) {
+// Transforms of up to `table_limit` points take their twiddles from the
+// table; longer ones use the recurrence. No 1/N on the inverse.
+void fft_core(std::span<Complex> data, bool inverse, std::size_t table_limit) {
   const std::size_t n = data.size();
   ensure(is_pow2(n), "FFT length must be a power of two");
   bit_reverse_permute(data);
   auto* d = reinterpret_cast<double*>(data.data());
-  const bool use_table = n <= kMaxTwiddleFft;
-  if (use_table) std::call_once(g_twiddles_once, build_twiddles);
+  const bool use_table = n <= table_limit;
+  if (use_table) ensure_twiddles(n);
   const double sign = inverse ? -1.0 : 1.0;  // conjugate table for inverse
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
@@ -104,12 +119,24 @@ void fft_core(std::span<Complex> data, bool inverse) {
 
 }  // namespace
 
-void fft_inplace(std::span<Complex> data) { fft_core(data, /*inverse=*/false); }
+void fft_inplace(std::span<Complex> data) {
+  fft_core(data, /*inverse=*/false, kGenericTableFft);
+}
 
 void ifft_inplace(std::span<Complex> data) {
-  fft_core(data, /*inverse=*/true);
+  fft_core(data, /*inverse=*/true, kGenericTableFft);
   const double inv_n = 1.0 / static_cast<double>(data.size());
   for (auto& c : data) c *= inv_n;
+}
+
+void prepare_twiddle_table(std::size_t n) {
+  ensure(is_pow2(n) && n <= kMaxTableFft,
+         "twiddle table covers powers of two up to kMaxTableFft");
+  ensure_twiddles(n);
+}
+
+void fft_table_inplace(std::span<Complex> data, bool inverse) {
+  fft_core(data, inverse, kMaxTableFft);
 }
 
 ComplexSignal fft(std::span<const Complex> input, std::size_t n) {

@@ -16,6 +16,22 @@ void fft_inplace(std::span<Complex> data);
 /// In-place inverse FFT (includes the 1/N normalization).
 void ifft_inplace(std::span<Complex> data);
 
+/// Largest transform the shared twiddle table covers: the GCC-PHAT plan of
+/// a 1 s selection period at 16 kHz (0.5 s periods need 16384 points).
+inline constexpr std::size_t kMaxTableFft = 32768;
+
+/// Builds the process-wide twiddle table for transforms of `n` points (a
+/// power of two, at most kMaxTableFft). Control plane: call it when sizing
+/// a plan, so that fft_table_inplace on n points never builds a stage on
+/// the audio thread. Thread-safe; each stage is built once per process.
+void prepare_twiddle_table(std::size_t n);
+
+/// In-place FFT whose twiddles come from the table for every length up to
+/// kMaxTableFft (fft_inplace uses the slower twiddle recurrence above 8192
+/// points); longer transforms fall back to the recurrence. `inverse`
+/// conjugates the twiddles and, unlike ifft_inplace, skips the 1/N.
+void fft_table_inplace(std::span<Complex> data, bool inverse);
+
 /// Out-of-place forward FFT; input is zero-padded to the next power of two
 /// if `n` is larger than `input.size()`. `n == 0` means next_pow2(size).
 ComplexSignal fft(std::span<const Complex> input, std::size_t n = 0);

@@ -2,8 +2,11 @@
 // calibration quality, relay selection and live cancellation, driven
 // against a physically synthesized world (channels from the image-source
 // room model).
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -11,6 +14,7 @@
 
 #include "acoustics/environment.hpp"
 #include "audio/generators.hpp"
+#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
@@ -401,8 +405,8 @@ TEST(MuteDevice, TickStaysAllocationLeanInEveryState) {
   // standby — and count heap allocations per tick, attributed to the
   // state the tick STARTED in. Signal-path ticks must be allocation-free;
   // the budgeted exceptions are control-plane ticks (calibration fit,
-  // selection rounds, the handoff itself) plus the selector's amortized
-  // buffer growth, all of which fit in a small per-state fraction.
+  // association, shadow retargets, the handoff itself), all of which fit
+  // in a small per-state fraction.
   World world(2);
   auto cfg = quick_config(2);
   cfg.hold_timeout_s = 0.3;
@@ -435,6 +439,79 @@ TEST(MuteDevice, TickStaysAllocationLeanInEveryState) {
         << "state " << static_cast<int>(state) << ": " << (ticks - clean)
         << " of " << ticks << " ticks allocated";
   }
+}
+
+TEST(MuteDevice, FlappingMeshAllocatesOnlyAtHandoffsAndRetargets) {
+  if (!ScopedArenaAlloc::routing_enabled()) {
+    GTEST_SKIP() << "allocation interposition compiled out";
+  }
+  // Two relays whose links die in turn, 1.5 s each, for 12 s: the device
+  // hands the association back and forth and retargets its shadow every
+  // flap. Measured in the device's own arena, the only ticks that may
+  // allocate are the end of calibration, the first association, handoffs
+  // and shadow retargets. Selection rounds (every 0.5 s) allocate nothing.
+  // The per-event bytes are printed: they are what still grows a tenant's
+  // arena with serving time on a flapping mesh.
+  World world(2);
+  auto cfg = quick_config(2);
+  cfg.hold_timeout_s = 0.3;
+  ArenaPool pool(std::size_t{16} << 20, 1);
+  MonotonicArena& arena = pool.arena(0);
+  std::optional<MuteDevice> device;
+  {
+    ScopedArenaAlloc scope(arena);
+    device.emplace(cfg);
+  }
+  Sample speaker = 0.0f, error = 0.0f;
+  Signal relay_feed(2);
+  const auto flap_start = static_cast<int>(2.0 * kFs);
+  const auto flap_len = static_cast<int>(1.5 * kFs);
+  std::vector<std::size_t> handoff_bytes, retarget_bytes;
+  bool associated = false;
+  for (int t = 0; t < static_cast<int>(14.0 * kFs); ++t) {
+    const std::size_t before = arena.used();
+    const std::size_t handoffs = device->handoff_count();
+    const ShadowFilter* sh = device->shadow();
+    const bool had_target = sh != nullptr && sh->has_target();
+    const std::size_t old_target = had_target ? sh->relay() : 0;
+    const auto state = device->state();
+    {
+      ScopedArenaAlloc scope(arena);
+      speaker = device->tick(relay_feed, error);
+    }
+    const std::size_t bytes = arena.used() - before;
+    sh = device->shadow();
+    const bool handoff = device->handoff_count() != handoffs;
+    const bool retarget = sh != nullptr && sh->has_target() &&
+                          (!had_target || sh->relay() != old_target);
+    const bool calibrated = state == MuteDevice::State::kCalibrating &&
+                            device->state() != state;
+    const bool first_association =
+        !associated && device->active_relay().has_value();
+    associated |= first_association;
+    if (handoff) {
+      handoff_bytes.push_back(bytes);
+    } else if (retarget) {
+      retarget_bytes.push_back(bytes);
+    } else if (!calibrated && !first_association) {
+      EXPECT_EQ(bytes, 0u) << "tick at t=" << t / kFs << " s allocated";
+    }
+    error = world.step(speaker, relay_feed);
+    if (t >= flap_start) {
+      const int dead = ((t - flap_start) / flap_len) % 2;
+      relay_feed[static_cast<std::size_t>(dead)] = 0.0f;
+    }
+  }
+  ASSERT_GE(handoff_bytes.size(), 6u);
+  ASSERT_GE(retarget_bytes.size(), 6u);
+  const auto [h_min, h_max] =
+      std::minmax_element(handoff_bytes.begin(), handoff_bytes.end());
+  const auto [r_min, r_max] =
+      std::minmax_element(retarget_bytes.begin(), retarget_bytes.end());
+  std::printf("flapping mesh: %zu handoffs %zu-%zu B each, %zu shadow "
+              "retargets %zu-%zu B each\n",
+              handoff_bytes.size(), *h_min, *h_max, retarget_bytes.size(),
+              *r_min, *r_max);
 }
 
 TEST(MuteDevice, StandbyListIsRefreshedByQualifiedRoundsAndAgesOutWithoutThem) {

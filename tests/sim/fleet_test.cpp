@@ -323,8 +323,8 @@ TEST(Fleet, SteadyStateIsAllocationCleanOnWorkerLanes) {
   // the allocator lock from the multi-core scaling path).
   const std::uint64_t heap_before = fleet.steady_allocations();
   // TickStaysAllocationLean-style leanness on the arena side: most blocks
-  // must not allocate at all, arena or not (selection rounds are the
-  // budgeted amortized exception).
+  // must not allocate at all, arena or not (control events such as the
+  // first association are the budgeted exception).
   std::size_t clean_blocks = 0;
   const std::size_t kBlocks = 128;
   auto arena_allocs = [&] {
@@ -345,6 +345,36 @@ TEST(Fleet, SteadyStateIsAllocationCleanOnWorkerLanes) {
       << "a worker lane reached the global heap in steady state";
   EXPECT_GE(clean_blocks, (kBlocks * 9) / 10)
       << "fleet steady state allocates (even arena-side) too often";
+}
+
+TEST(Fleet, ArenaHighWaterIsFlatOverLongServing) {
+  // A tenant's memory must be bounded for any serving time: once the
+  // first selection round has run (and associated the relay), nothing a
+  // long-lived tenant does — 120 more rounds here — may grow its arena.
+  const DeviceSimConfig cfg = quick_cfg();
+  audio::WhiteNoiseSource noise(0.1, 505);
+  FleetRuntime fleet(quick_fleet(1, 1));
+  const std::size_t pid =
+      fleet.add_profile(make_fleet_profile(noise, cfg,
+                                           /*loop_steady_state=*/true));
+  const std::uint64_t id = fleet.admit(pid, 1);
+  const auto blocks_until = [&](double t_s) {
+    const auto samples =
+        static_cast<std::size_t>(t_s * cfg.scene.sample_rate);
+    return (samples + fleet.block_samples() - 1) / fleet.block_samples();
+  };
+  // Calibration ends at 0.25 s; the first round lands 0.5 s later.
+  const std::size_t first_round = blocks_until(
+      cfg.device.calibration_s + cfg.device.selection_period_s) + 1;
+  fleet.run_blocks(first_round);
+  const std::size_t after_first_round = fleet.stats(id).arena_high_water;
+  fleet.run_blocks(blocks_until(60.0) - first_round);
+  const TenantStats s = fleet.stats(id);
+  EXPECT_GE(s.samples,
+            static_cast<std::uint64_t>(60.0 * cfg.scene.sample_rate));
+  EXPECT_EQ(s.arena_high_water, after_first_round)
+      << "tenant arena grew while serving";
+  EXPECT_TRUE(fleet.is_live(id));
 }
 
 TEST(Fleet, SoakSmokeChurnWithFaultsKeepsEveryTenantNoLouder) {

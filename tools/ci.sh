@@ -20,7 +20,9 @@
 #   7. fleet-smoke : bench/fleet_soak on a small churned tenant fleet —
 #                 per-tenant never-louder verdicts plus the zero
 #                 worker-lane heap traffic contract of the fleet runtime;
-#                 writes fleet-soak-report.json (DESIGN.md §14)
+#                 writes fleet-soak-report.json — then bench/fleet serving
+#                 long-lived tenants for 30 simulated seconds at the
+#                 default arena (bounded tenant memory; DESIGN.md §14)
 #   8. bench-smoke : fleetbench/run.py on every workload for one short
 #                 traced seed — builds the harness against the public
 #                 fleet API and exits non-zero when its checks fail
@@ -108,9 +110,13 @@ run_soak_smoke() {
 run_fleet_smoke() {
   echo "=== job: fleet smoke (multi-tenant runtime invariants) ==="
   cmake --preset dev
-  cmake --build --preset dev -j "$JOBS" --target fleet_soak
+  cmake --build --preset dev -j "$JOBS" --target fleet_soak fleet
   ./build-dev/bench/fleet_soak \
     --devices 64 --sim-seconds 3 --json fleet-soak-report.json
+  # Long-lived leg: tenants served 30 simulated seconds without churn at
+  # the default 4 MiB arena. A tenant whose memory grows with serving
+  # time aborts here ("monotonic arena exhausted").
+  ./build-dev/bench/fleet --max-devices 2 --skip-naive --sim-seconds 30
 }
 
 # The fleet serving benchmark at smoke length: one traced seed per

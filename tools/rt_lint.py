@@ -93,6 +93,7 @@ REQUIRED_ROOTS = [
     "mute::core::LancController::tick",
     "mute::core::LancController::observe_error",
     "mute::core::LinkMonitor::process",
+    "mute::core::RelaySelector::push",
     "mute::adaptive::FxlmsEngine::push_reference",
     "mute::adaptive::FxlmsEngine::compute_antinoise",
     "mute::adaptive::FxlmsEngine::adapt",
