@@ -22,7 +22,7 @@ std::size_t auto_block(std::size_t total) {
   // total/4 keeps the partition count at ~4: the per-sample FFT cost is
   // B-independent (6 transforms of 2B per B samples ~ log B), so fewer,
   // larger partitions win on the per-partition spectrum passes. Callers
-  // with a lookahead budget (LancController) pick the block themselves.
+  // with a lookahead budget pick the block themselves.
   const std::size_t target = std::clamp<std::size_t>(total / 4, 64, 512);
   return next_pow2(target);
 }
@@ -245,36 +245,6 @@ void FdFxlmsEngine::retarget_noncausal(std::size_t new_noncausal,
     if (j >= 0 && j < old_total) new_w[i] = old_w[static_cast<std::size_t>(j)];
   }
   set_weights(new_w);
-}
-
-double FdFxlmsEngine::reference_power() const {
-  double total = 0.0;
-  for (double p : power_sum_) total += p;
-  return total;
-}
-
-void FdFxlmsEngine::set_mu(double mu) {
-  ensure(mu > 0, "mu must be positive");
-  opts_.mu = mu;
-}
-
-void FdFxlmsEngine::reset_history() {
-  std::fill(x_spec_ring_.begin(), x_spec_ring_.end(), Complex(0.0, 0.0));
-  std::fill(u_spec_ring_.begin(), u_spec_ring_.end(), Complex(0.0, 0.0));
-  std::fill(x_prev_.begin(), x_prev_.end(), 0.0);
-  std::fill(u_prev_.begin(), u_prev_.end(), 0.0);
-  std::fill(u_block_.begin(), u_block_.end(), Sample{0});
-  std::fill(power_sum_.begin(), power_sum_.end(), 0.0);
-  head_ = 0;
-  blocks_since_power_sync_ = 0;
-  adapt_armed_ = false;
-  sec_path_filter_.reset();
-}
-
-void FdFxlmsEngine::reset() {
-  reset_history();
-  std::fill(w_parts_.begin(), w_parts_.end(), Complex(0.0, 0.0));
-  constraint_cursor_ = 0;
 }
 
 }  // namespace mute::adaptive

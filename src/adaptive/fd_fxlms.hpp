@@ -39,8 +39,8 @@ struct FdFxlmsOptions {
   std::size_t causal_taps = 256;
   std::size_t noncausal_taps = 0;
   /// Block size B (power of two). 0 picks next_pow2(total/8) clamped to
-  /// [64, 512]. The controller must keep B at or under the acoustic lead
-  /// it has left after `noncausal_taps` — see LancOptions::fd_block.
+  /// [64, 512]. A caller spending a lookahead budget must keep B at or
+  /// under the acoustic lead it has left after `noncausal_taps`.
   std::size_t block = 0;
   double mu = 0.5;          // per-bin NLMS-normalized step
   double epsilon = 1e-6;    // bin-power regularizer
@@ -65,13 +65,14 @@ struct FdFxlmsOptions {
 ///                         gradient constraint. Must be called with the
 ///                         errors observed for the *most recent*
 ///                         process_block output, before the next
-///                         process_block — the controller's lookahead
-///                         buffering guarantees this ordering.
+///                         process_block. A per-sample driver that
+///                         runs a filled input block at the START of
+///                         the next tick guarantees this ordering.
 ///
 /// Latency contract: y for input block m is produced when block m
 /// completes and is played during the following B ticks, so the engine
 /// adds exactly B samples of pipeline delay. LANC absorbs it in the
-/// acoustic lead: a controller with N samples of lookahead runs this
+/// acoustic lead: a driver with N samples of lookahead runs this
 /// engine with noncausal_taps = N - B and loses nothing (paper Eq. 3/4 —
 /// block latency is free up to the lead).
 ///
@@ -83,10 +84,8 @@ class FdFxlmsEngine {
                 FdFxlmsOptions options);
 
   std::size_t block_size() const { return block_; }
-  std::size_t partition_count() const { return parts_; }
   std::size_t total_taps() const { return total_; }
   std::size_t noncausal_taps() const { return opts_.noncausal_taps; }
-  const FdFxlmsOptions& options() const { return opts_; }
 
   /// Produce the next B anti-noise samples from B new reference samples.
   MUTE_RT_SAFE void process_block(std::span<const Sample> x,
@@ -109,18 +108,6 @@ class FdFxlmsEngine {
   /// belongs to the old stream). Control-plane.
   MUTE_RT_UNSAFE void retarget_noncausal(std::size_t new_noncausal,
                                          std::ptrdiff_t weight_shift);
-
-  /// Total per-bin reference power Σ_k Σ_q |U_q[k]|² (diagnostics).
-  double reference_power() const;
-
-  void set_mu(double mu);
-
-  /// Clear signal history (spectrum rings, overlap tails, bin powers) but
-  /// keep weights — used at profile switches.
-  void reset_history();
-
-  /// Clear everything (weights and history).
-  void reset();
 
  private:
   // Valid time-domain taps held by partition p (the last partition may be

@@ -17,13 +17,6 @@ MuteDevice::MuteDevice(MuteDeviceConfig config)
   ensure(config.calibration_s > 0, "calibration duration must be positive");
   ensure(config.hold_timeout_s > 0, "hold timeout must be positive");
   ensure(config.standby_max_age_s > 0, "standby max age must be positive");
-  // Handoff installs shadow-converged weights and an association can leave
-  // no lookahead; the block engine supports neither, so the device only
-  // runs the time-domain engine (the block engine is driven through
-  // LancController directly).
-  ensure(config.lanc.engine == LancEngineKind::kTimeDomain,
-         "MuteDevice needs the time-domain LANC engine: handoff and "
-         "zero-lookahead association are unsupported by kFdBlock");
   const auto cal_samples =
       static_cast<std::size_t>(config.calibration_s * config.sample_rate);
   stimulus_log_.reserve(cal_samples);
@@ -511,7 +504,7 @@ void MuteDevice::begin_handoff(const RelayMeasurement& target) {
     lanc_->install_converged(shadow_->engine().weights(),
                              shadow_->engine().reference_window());
     const auto ramp_samples = static_cast<std::size_t>(
-        config_.lanc.hold_ramp_s * config_.sample_rate);
+        LancController::kHoldRampS * config_.sample_rate);
     handoff_settle_ = std::max<std::size_t>(1, ramp_samples);
     ++shadow_handoff_count_;
   } else {

@@ -16,6 +16,7 @@
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "support/fd_stepper.hpp"
 
 namespace mute::adaptive {
 namespace {
@@ -177,37 +178,6 @@ struct TdStepper {
   FxlmsEngine* eng;
   Sample operator()(Sample xa) { return eng->step_output(xa); }
   void observe(Sample e) { eng->adapt(e); }
-};
-
-struct FdStepper {
-  FdFxlmsEngine* eng;
-  Signal in, out, err;
-  std::size_t in_fill = 0, out_pos = 0, err_fill = 0;
-  bool ready = false, can_adapt = false;
-
-  explicit FdStepper(FdFxlmsEngine* e)
-      : eng(e), in(e->block_size()), out(e->block_size()),
-        err(e->block_size()) {}
-
-  Sample operator()(Sample xa) {
-    if (in_fill == eng->block_size()) {
-      eng->process_block(in, out);
-      in_fill = 0;
-      out_pos = 0;
-      ready = true;
-      can_adapt = true;
-    }
-    in[in_fill++] = xa;
-    return ready ? out[out_pos++] : Sample{0};
-  }
-  void observe(Sample e) {
-    err[err_fill++] = e;
-    if (err_fill == eng->block_size()) {
-      if (can_adapt) eng->adapt_block(err);
-      can_adapt = false;
-      err_fill = 0;
-    }
-  }
 };
 
 // The pinned equivalence tolerance (DESIGN.md §13): both engines must
@@ -379,12 +349,7 @@ TEST(FdFxlmsEquivalence, RetargetKeepsCancellingLikeTimeDomain) {
   FdStepper fd_step{&fd_eng};
   const double mse_fd = run_with_handoff(fd_step, [&] {
     fd_eng.retarget_noncausal(new_lead - fd_eng.block_size(), shift);
-    fd_step.in_fill = 0;
-    fd_step.out_pos = 0;
-    fd_step.err_fill = 0;
-    fd_step.ready = false;
-    fd_step.can_adapt = false;
-    std::fill(fd_step.out.begin(), fd_step.out.end(), Sample{0});
+    fd_step.reset();
   });
 
   const double passive = passive_power(sc, n);

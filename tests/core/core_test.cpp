@@ -387,8 +387,6 @@ TEST(Lanc, ProfilingDetectsAlternatingSources) {
   opts.fxlms.causal_taps = 16;
   opts.fxlms.noncausal_taps = 4;
   opts.profiling = true;
-  opts.profile_frame = 256;
-  opts.profile_hop = 128;
   LancController lanc({1.0}, opts);
 
   audio::ToneSource low(300.0, 0.4, kFs);

@@ -1,35 +1,53 @@
-// LancController's kFdBlock engine mode (DESIGN.md §13): the partitioned
-// block engine must cancel like the pinned time-domain mode on the same
-// tick/observe sequence, absorb its block pipeline inside the acoustic
-// lead, survive retargets and profile switches, and tick allocation-free.
+// The partitioned-block FD engine (adaptive::FdFxlmsEngine, DESIGN.md §13)
+// on LANC's tick/observe scenario: driven per sample through the shared
+// FdStepper, it must cancel like the LancController's time-domain engine
+// on the same sequence, absorb its block pipeline inside the acoustic lead,
+// survive a lead retarget, and tick allocation-free.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "audio/generators.hpp"
+#include "adaptive/fd_fxlms.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/lanc.hpp"
+#include "support/fd_stepper.hpp"
 
 namespace mute::core {
 namespace {
 
-constexpr double kFs = kDefaultSampleRate;
+using adaptive::FdFxlmsEngine;
+using adaptive::FdStepper;
 
-LancOptions fd_options(std::size_t causal, std::size_t lead) {
-  LancOptions opts;
-  opts.fxlms.causal_taps = causal;
-  opts.fxlms.noncausal_taps = lead;
-  opts.fxlms.mu = 0.5;
-  opts.engine = LancEngineKind::kFdBlock;
+// A lead of 8 samples split as a 4-sample block pipeline plus 4 future
+// taps; the engine's total span matches a time-domain filter with the
+// whole lead as future taps.
+constexpr std::size_t kLead = 8;
+constexpr std::size_t kBlock = 4;
+
+adaptive::FdFxlmsOptions fd_options(std::size_t causal, std::size_t lead,
+                                    std::size_t block) {
+  adaptive::FdFxlmsOptions opts;
+  opts.causal_taps = causal;
+  opts.noncausal_taps = lead - block;
+  opts.block = block;
+  opts.mu = 0.5;
   return opts;
 }
+
+struct LancStepper {
+  LancController* lanc;
+  Sample operator()(Sample xa) { return lanc->tick(xa); }
+  void observe(Sample e) { lanc->observe_error(e); }
+};
 
 // Mini acoustic loop shared by the scenarios below: hse = delay-1 delta,
 // d(t) = n(t), a(t) = y(t-1); returns last-quarter residual in dB rel.
 // the 0.01 noise power (same convention as Lanc.TickObserveLoopCancels*).
-double run_residual_db(LancController& lanc, std::size_t lead, int t_len,
+template <typename Stepper>
+double run_residual_db(Stepper& step, std::size_t lead, int t_len,
                        unsigned seed) {
   Rng rng(seed);
   std::vector<float> n_sig(t_len), y(t_len, 0.0f);
@@ -39,11 +57,11 @@ double run_residual_db(LancController& lanc, std::size_t lead, int t_len,
   for (int t = 0; t < t_len; ++t) {
     const float x_adv =
         (t + static_cast<int>(lead) < t_len) ? n_sig[t + lead] : 0.0f;
-    y[t] = lanc.tick(x_adv);
+    y[t] = step(x_adv);
     const float d = n_sig[t];
     const float a = (t >= 1) ? y[t - 1] : 0.0f;
     const float e = d + a;
-    lanc.observe_error(e);
+    step.observe(e);
     if (t > 3 * t_len / 4) {
       err += static_cast<double>(e) * static_cast<double>(e);
       ++count;
@@ -52,105 +70,73 @@ double run_residual_db(LancController& lanc, std::size_t lead, int t_len,
   return 10.0 * std::log10(err / count / 0.01);
 }
 
-TEST(LancFd, TickObserveLoopCancelsSimplePlant) {
+std::vector<double> delay_one_path() {
   std::vector<double> hse(4, 0.0);
   hse[1] = 1.0;
-  LancController lanc(hse, fd_options(32, 8));
-  ASSERT_NE(lanc.fd_engine(), nullptr);
-  EXPECT_EQ(lanc.engine_kind(), LancEngineKind::kFdBlock);
-  EXPECT_LT(run_residual_db(lanc, 8, 40000, 13), -30.0);
+  return hse;
+}
+
+TEST(LancFd, TickObserveLoopCancelsSimplePlant) {
+  FdFxlmsEngine eng(delay_one_path(), fd_options(32, kLead, kBlock));
+  ASSERT_EQ(eng.block_size(), kBlock);
+  FdStepper step(&eng);
+  EXPECT_LT(run_residual_db(step, kLead, 40000, 13), -30.0);
 }
 
 TEST(LancFd, ResidualWithinTimeDomainTolerance) {
-  // The §13 equivalence bound at controller level: FD residual within
-  // +3 dB of the time-domain mode on the identical scenario (one-sided —
-  // the per-bin normalization often converges deeper).
-  std::vector<double> hse(4, 0.0);
-  hse[1] = 1.0;
+  // The §13 equivalence bound on LANC's scenario: FD residual within
+  // +3 dB of the controller's time-domain engine on the identical
+  // sequence (one-sided — the per-bin normalization often converges
+  // deeper).
+  LancOptions td;
+  td.fxlms.causal_taps = 32;
+  td.fxlms.noncausal_taps = kLead;
+  td.fxlms.mu = 0.5;
+  LancController td_lanc(delay_one_path(), td);
+  LancStepper td_step{&td_lanc};
+  FdFxlmsEngine fd_eng(delay_one_path(), fd_options(32, kLead, kBlock));
+  FdStepper fd_step(&fd_eng);
 
-  LancOptions td = fd_options(32, 8);
-  td.engine = LancEngineKind::kTimeDomain;
-  LancController td_lanc(hse, td);
-  LancController fd_lanc(hse, fd_options(32, 8));
-
-  const double db_td = run_residual_db(td_lanc, 8, 40000, 13);
-  const double db_fd = run_residual_db(fd_lanc, 8, 40000, 13);
+  const double db_td = run_residual_db(td_step, kLead, 40000, 13);
+  const double db_fd = run_residual_db(fd_step, kLead, 40000, 13);
   EXPECT_LT(db_td, -30.0);
   // Clamp at -60 dB: below that both residuals are float rounding noise
   // and their ratio is meaningless jitter.
   EXPECT_LT(std::max(db_fd, -60.0), std::max(db_td, -60.0) + 3.0);
 }
 
-TEST(LancFd, LookaheadSamplesCountsBlockPlusFutureTaps) {
-  // The block pipeline consumes part of the lead; future taps keep the
-  // rest. lookahead_samples() must report their sum — the full acoustic
-  // lead the controller needs — not just the engine's tap window.
-  LancOptions opts = fd_options(8, 13);
-  LancController lanc({1.0}, opts);
-  ASSERT_NE(lanc.fd_engine(), nullptr);
-  EXPECT_EQ(lanc.fd_engine()->block_size() +
-                lanc.fd_engine()->noncausal_taps(),
-            13u);
-  EXPECT_EQ(lanc.lookahead_samples(), 13u);
-}
-
 TEST(LancFd, RetargetToShorterLeadKeepsCancelling) {
-  std::vector<double> hse(4, 0.0);
-  hse[1] = 1.0;
-  LancOptions opts = fd_options(32, 8);
-  opts.fd_block = 4;
-  LancController lanc(hse, opts);
+  FdFxlmsEngine eng(delay_one_path(), fd_options(32, kLead, kBlock));
+  FdStepper step(&eng);
 
   const int phase_len = 40000;
-  EXPECT_LT(run_residual_db(lanc, 8, phase_len, 13), -30.0);
+  EXPECT_LT(run_residual_db(step, kLead, phase_len, 13), -30.0);
 
-  // Hand off to a relay leading by 6 instead of 8 (shift = old - new).
-  lanc.retarget(1, 6, 2, /*outgoing_flagged=*/false);
-  EXPECT_EQ(lanc.lookahead_samples(), 6u);
-  EXPECT_LT(run_residual_db(lanc, 6, phase_len, 14), -30.0);
-}
-
-TEST(LancFd, ProfilingSwitchesWithFdEngine) {
-  // The profiling layer (snapshots, cache store/preload, pending-switch
-  // apply) must run against the block engine's weight accessors without
-  // tripping engine-kind asserts, and still detect the alternation.
-  LancOptions opts = fd_options(16, 8);
-  opts.profiling = true;
-  opts.profile_frame = 256;
-  opts.profile_hop = 128;
-  LancController lanc({1.0}, opts);
-
-  audio::ToneSource low(300.0, 0.4, kFs);
-  audio::ToneSource high(3000.0, 0.4, kFs);
-  const auto seg = static_cast<std::size_t>(kFs / 2);
-  for (int rounds = 0; rounds < 6; ++rounds) {
-    auto& src = (rounds % 2 == 0) ? low : high;
-    const auto block = src.generate(seg);
-    for (Sample v : block) {
-      lanc.tick(v);
-      lanc.observe_error(0.0f);
-    }
-  }
-  EXPECT_GE(lanc.profile_count(), 2u);
-  EXPECT_GE(lanc.profile_switch_count(), 2u);
+  // Hand off to a relay leading by 6 instead of 8: the block still takes
+  // 4 samples of the lead, so 2 future taps remain. The weight shift is
+  // the lead change (2) plus the measured advance shift (2) — the block
+  // term appears in both future-tap counts and cancels. The buffered
+  // blocks belong to the old stream.
+  eng.retarget_noncausal(2, 4);
+  step.reset();
+  EXPECT_EQ(eng.noncausal_taps() + eng.block_size(), 6u);
+  EXPECT_LT(run_residual_db(step, 6, phase_len, 14), -30.0);
 }
 
 TEST(LancFd, SteadyStateTickIsAllocationFree) {
-  std::vector<double> hse(4, 0.0);
-  hse[1] = 1.0;
-  LancOptions opts = fd_options(256, 64);
-  LancController lanc(hse, opts);
+  FdFxlmsEngine eng(delay_one_path(), fd_options(256, kLead, kBlock));
+  FdStepper step(&eng);
 
   Rng rng(99);
   // Warm up past the first blocks (primes every lazy path).
   for (int t = 0; t < 1024; ++t) {
-    lanc.tick(static_cast<Sample>(rng.gaussian(0.1)));
-    lanc.observe_error(static_cast<Sample>(rng.gaussian(0.05)));
+    step(static_cast<Sample>(rng.gaussian(0.1)));
+    step.observe(static_cast<Sample>(rng.gaussian(0.05)));
   }
   RtAllocationGuard guard(RtAllocationGuard::Mode::kCount, "lanc-fd-tick");
   for (int t = 0; t < 1024; ++t) {
-    lanc.tick(static_cast<Sample>(rng.gaussian(0.1)));
-    lanc.observe_error(static_cast<Sample>(rng.gaussian(0.05)));
+    step(static_cast<Sample>(rng.gaussian(0.1)));
+    step.observe(static_cast<Sample>(rng.gaussian(0.05)));
   }
   if (RtAllocationGuard::interposition_enabled()) {
     EXPECT_EQ(guard.allocations_since_entry(), 0u);

@@ -253,14 +253,6 @@ TEST(MuteDevice, RejectsWrongRelayCount) {
   EXPECT_THROW(device.tick(wrong, 0.0f), PreconditionError);
 }
 
-TEST(MuteDevice, RejectsTheBlockEngine) {
-  // A kFdBlock device would throw from tick() at its first handoff or
-  // zero-lookahead association; it is refused at construction instead.
-  MuteDeviceConfig cfg = quick_config(2);
-  cfg.lanc.engine = LancEngineKind::kFdBlock;
-  EXPECT_THROW(MuteDevice{cfg}, PreconditionError);
-}
-
 TEST(MuteDevice, HandsOffToWarmStandbyOnRelayDeath) {
   // Two relays with positive lookahead (advances 40 and 12). Kill the
   // active relay's feed for good: the device must hold, then hand the

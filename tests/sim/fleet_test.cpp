@@ -285,7 +285,7 @@ TEST(Fleet, AdmitThatCannotBuildTheDeviceLeavesTheSlotFree) {
   audio::WhiteNoiseSource noise(0.1, 2022);
   const FleetProfile good = make_fleet_profile(noise, cfg);
   FleetProfile bad = good;
-  bad.streams.device.lanc.engine = core::LancEngineKind::kFdBlock;
+  bad.streams.device.hold_timeout_s = 0.0;
 
   const auto served_arena = [&](bool failed_admit_first) {
     FleetRuntime fleet(quick_fleet(1, 1));

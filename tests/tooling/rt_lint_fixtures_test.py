@@ -8,7 +8,10 @@ cannot see a seeded violation is worse than no gate.
 
 Also pins the allow-list policy: a justified entry silences exactly its
 (function, construct) pair, and an entry without a justification fails the
-run on its own.
+run on its own; and the parser's precision: a braced default argument
+keeps its function on the root set, a member call on a standard-library
+object does not resolve to a project method of the same name, and an
+annotation that yields no root fails the gate at its file:line.
 
 Run via ctest (rt_lint_fixtures) or directly; exits non-zero on any
 failure.
@@ -54,6 +57,7 @@ BAD = {
     "rt_bad_rotate.cpp": ("std-rotate",),
     "rt_bad_transitive.cpp": ("throw",),
     "rt_bad_unsafe_call.cpp": ("rt-unsafe-call",),
+    "rt_bad_braced_default.cpp": ("container-growth",),
 }
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -61,6 +65,11 @@ with tempfile.TemporaryDirectory() as tmp:
     os.makedirs(EMPTY_DIR)
 
     check("clean fixture passes", run("rt_clean.cpp"), 0)
+    check("std-object member call does not resolve to a project method",
+          run("rt_clean_std_member.cpp"), 0)
+    check("annotation that yields no root fails at its file:line",
+          run("rt_bad_orphan_annotation.cpp"), 1,
+          ("ORPHAN ANNOTATION", "rt_bad_orphan_annotation.cpp:9"))
     for fixture, constructs in BAD.items():
         check(f"{fixture} fails with {'/'.join(constructs)}",
               run(fixture), 1, constructs)

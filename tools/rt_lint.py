@@ -12,8 +12,11 @@ The analyzer is pure Python and needs no compiler front end: a
 length-preserving comment/string stripper, a scope-tracking function
 extractor, and name-based call resolution. Ambiguous member calls traverse
 only RT-annotated candidates (the precision limit of name-based
-resolution; every ambiguity is listed in the report so it is visible). It
-exits non-zero on any violation, so `rt_lint.py && ...` is a valid gate.
+resolution; every ambiguity is listed in the report so it is visible).
+Member calls on objects declared with a std:: type never resolve to
+project functions. Every MUTE_RT_SAFE annotation must yield a root, so the
+root set cannot shrink silently. It exits non-zero on any violation, so
+`rt_lint.py && ...` is a valid gate.
 
 Deny-list (construct ids as they appear in reports / the allow-list):
 
@@ -44,8 +47,8 @@ Usage:
              [--report FILE] [--no-require-roots] [--strict-allow]
              [--verbose]
 
-Exit codes: 0 clean, 1 violations / missing roots / bad allow-list,
-2 usage or environment error.
+Exit codes: 0 clean, 1 violations / missing roots / annotations that
+yield no root / bad allow-list, 2 usage or environment error.
 """
 
 from __future__ import annotations
@@ -164,6 +167,8 @@ class Model:
     def __init__(self):
         self.fns = {}           # qname -> Fn
         self.by_simple = {}     # simple -> [qname]
+        self.class_text = {}    # class qname -> stripped class body
+        self.orphans = []       # (file, line) of MUTE_RT_SAFE with no root
 
     def get(self, qname, simple, file, line):
         fn = self.fns.get(qname)
@@ -184,6 +189,22 @@ class Model:
             suffix = "::" + name
             return [q for q in self.fns if q.endswith(suffix)]
         return list(self.by_simple.get(name, []))
+
+    def std_receiver(self, fn, context, receiver, chained):
+        """True when `receiver` (the object in `receiver.f(...)`) is
+        declared with a standard-library type, so its methods never resolve
+        to project functions of the same bare name. A plain receiver is
+        looked up in the calling function's head and body, then in its
+        class; a chained one (`a.receiver.f()`) in every class that
+        declares a member of that name, all of which must agree."""
+        if chained:
+            decl = [t for text in self.class_text.values()
+                    for t in declared_types(text, receiver)]
+        else:
+            decl = (declared_types(context, receiver) or
+                    declared_types(self.class_text.get(
+                        fn.qname.rsplit("::", 1)[0], ""), receiver))
+        return bool(decl) and all(t.startswith("std::") for t in decl)
 
 
 # --------------------------------------------------------------------------
@@ -337,22 +358,33 @@ def declarator_name(head):
 
 def scan_source(model, path, text):
     stripped = strip_code(text)
-    scope = []   # (kind, name) with kind in {ns, cls, block}
+    rel = os.path.relpath(path, REPO)
+    scope = []   # (kind, name, qname, body_start), kind in {ns, cls, block}
     i, head_start, n = 0, 0, len(stripped)
+    # Every MUTE_RT_SAFE site must end up in a recorded function head;
+    # whatever is left over at the end names an annotation that yields no
+    # root.
+    safe_sites = {m.start() for m in ANNOT_RE.finditer(stripped)
+                  if m.group(1) == "SAFE"}
 
     def qualify(name):
-        parts = [nm for kind, nm in scope if kind in ("ns", "cls") and nm]
+        parts = [nm for kind, nm, _q, _s in scope
+                 if kind in ("ns", "cls") and nm]
         return "::".join(parts + [name]) if parts else name
 
-    def record(name, ann, reason, body, body_line, line):
+    def record(name, head, body, body_line, line):
+        ann, reason = head_annotations(head, text[head_start:head_start +
+                                                  len(head)])
+        safe_sites.difference_update(
+            range(head_start, head_start + len(head)))
         qname = qualify(name)
         simple = name.rsplit("::", 1)[-1]
-        fn = model.get(qname, simple, os.path.relpath(path, REPO), line)
+        fn = model.get(qname, simple, rel, line)
         fn.annotations |= ann
         if reason and not fn.escape_reason:
             fn.escape_reason = reason
         if body is not None:
-            fn.bodies.append((body, os.path.relpath(path, REPO), body_line))
+            fn.bodies.append((body, rel, body_line, head))
 
     while i < n:
         c = stripped[i]
@@ -361,18 +393,26 @@ def scan_source(model, path, text):
             if ANNOT_RE.search(head):
                 name = declarator_name(head)
                 if name:
-                    ann, reason = head_annotations(head, text[head_start:i])
                     line = text.count("\n", 0, head_start) + 1
-                    record(name, ann, reason, None, 0, line)
+                    record(name, head, None, 0, line)
             head_start = i + 1
             i += 1
         elif c == "}":
             if scope:
-                scope.pop()
+                kind, _nm, qname, start = scope.pop()
+                if kind == "cls":
+                    model.class_text[qname] = (
+                        model.class_text.get(qname, "") + stripped[start:i])
             head_start = i + 1
             i += 1
         elif c == "{":
             head = stripped[head_start:i]
+            if head.count("(") > head.count(")"):
+                # A braced initializer inside a parameter list (a default
+                # argument such as `std::span<double> c = {}`): part of
+                # the head, not a scope.
+                i = match_brace(stripped, i) + 1
+                continue
             h = head.strip()
             nsm = NS_RE.search(h)
             clm = CLASS_RE.search(h) if not nsm else None
@@ -380,32 +420,57 @@ def scan_source(model, path, text):
             if not nsm and not clm and "enum" not in h.split():
                 name = declarator_name(head)
             if nsm:
-                scope.append(("ns", nsm.group(1) or ""))
+                scope.append(("ns", nsm.group(1) or "", "", i + 1))
                 head_start = i + 1
                 i += 1
             elif clm:
-                scope.append(("cls", clm.group(1)))
+                scope.append(("cls", clm.group(1), qualify(clm.group(1)),
+                              i + 1))
                 head_start = i + 1
                 i += 1
             elif name:
                 end = match_brace(stripped, i)
-                ann, reason = head_annotations(head, text[head_start:i])
                 line = text.count("\n", 0, head_start) + 1
                 body_line = text.count("\n", 0, i) + 1
-                record(name, ann, reason, stripped[i + 1:end],
-                       body_line, line)
+                record(name, head, stripped[i + 1:end], body_line, line)
                 head_start = end + 1
                 i = end + 1
             else:
-                scope.append(("block", ""))
+                scope.append(("block", "", "", i + 1))
                 head_start = i + 1
                 i += 1
         else:
             i += 1
+    for pos in sorted(safe_sites):
+        model.orphans.append((rel, text.count("\n", 0, pos) + 1))
+
+
+# A declaration's type, ending right where the declared name begins:
+# 'std::optional<int> ', 'const Foo& '.
+DECL_TYPE_RE = re.compile(
+    r"(?<![\w:])((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*"
+    r"(?:\s*<(?:[^<>;{}()]|<(?:[^<>;{}()]|<[^<>;{}()]*>)*>)*>)?)"
+    r"\s*(?:\bconst\b\s*)?[&*]*\s*$")
+
+
+def declared_types(text, name):
+    """Types `name` is declared with in `text` ('std::optional<int> name;',
+    'const Foo& name,'), whitespace-normalized. Statements such as
+    'return name;' are not declarations."""
+    types = []
+    for m in re.finditer(r"\b" + re.escape(name) + r"\s*(?=[;,={\[)]|:(?!:))",
+                         text):
+        tm = DECL_TYPE_RE.search(text, max(0, m.start() - 160), m.start())
+        if tm:
+            t = re.sub(r"\s+", "", tm.group(1))
+            if t.rsplit("::", 1)[-1] not in CONTROL_KEYWORDS:
+                types.append(t)
+    return types
 
 
 CALL_RE = re.compile(r"(?<![.\w>:])((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*\(")
-MEMBER_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*\(")
+MEMBER_RE = re.compile(
+    r"(?:(\.|->)?\s*\b([A-Za-z_]\w*)\s*)?(\.|->)\s*([A-Za-z_]\w*)\s*\(")
 
 # Member names the deny-list already bans textually (container-growth).
 # Resolving them to in-repo functions of the same name (RingHistory::assign
@@ -418,8 +483,10 @@ DENY_MEMBER_NAMES = {
 }
 
 
-def body_calls(body):
-    """(plain_or_qualified, is_member) callee names found in a body."""
+def body_calls(body, std_receiver=lambda _receiver, _chained: False):
+    """(plain_or_qualified, is_member) callee names found in a body.
+    `receiver.f(...)` is dropped when std_receiver(receiver, chained) says
+    the receiver is a standard-library object."""
     calls = set()
     for m in CALL_RE.finditer(body):
         name = re.sub(r"\s+", "", m.group(1))
@@ -428,9 +495,12 @@ def body_calls(body):
             continue
         calls.add((name, False))
     for m in MEMBER_RE.finditer(body):
-        name = m.group(1)
-        if name not in CONTROL_KEYWORDS and name not in DENY_MEMBER_NAMES:
-            calls.add((name, True))
+        chain, receiver, op, name = m.groups()
+        if name in CONTROL_KEYWORDS or name in DENY_MEMBER_NAMES:
+            continue
+        if op == "." and receiver and std_receiver(receiver, bool(chain)):
+            continue
+        calls.add((name, True))
     return calls
 
 
@@ -500,7 +570,7 @@ def traverse(model, allow_entries, verbose=False):
     reached_via = {}    # qname -> first caller that enqueued it
 
     def scan_bodies(fn):
-        for body, file, line0 in fn.bodies:
+        for body, file, line0, _head in fn.bodies:
             for construct, pattern in BANNED:
                 for m in re.finditer(pattern, body):
                     if allowed(allow_entries, fn.qname, construct):
@@ -531,8 +601,10 @@ def traverse(model, allow_entries, verbose=False):
 
         scan_bodies(fn)
         calls = set()
-        for body, _file, _line in fn.bodies:
-            calls |= body_calls(body)
+        for body, _file, _line, head in fn.bodies:
+            calls |= body_calls(
+                body, lambda r, chained, ctx=head + body:
+                model.std_receiver(fn, ctx, r, chained))
 
         for name, _is_member in sorted(calls):
             targets = model.resolve(name)
@@ -626,6 +698,7 @@ def main():
         "escapes": escapes,
         "ambiguous_calls": ambiguous,
         "missing_roots": missing_roots,
+        "orphan_annotations": [f"{f}:{ln}" for f, ln in model.orphans],
         "allowlist": {
             "file": args.allow,
             "entries": len(allow_entries),
@@ -651,6 +724,9 @@ def main():
             print(f"    reached via: {' <- '.join(v['reached_via'])}")
     for m in missing_roots:
         print(f"  MISSING ROOT {m['root']}: {m['why']}")
+    for file, line in model.orphans:
+        print(f"  ORPHAN ANNOTATION {file}:{line}: MUTE_RT_SAFE yields no "
+              f"RT root")
     for err in allow_errors:
         print(f"  ALLOW-LIST ERROR {err}")
     if unused_allow:
@@ -659,7 +735,8 @@ def main():
             print(f"  allow-list {level}: unused entry "
                   f"{e['function']}|{e['construct']}")
 
-    failed = bool(violations or missing_roots or allow_errors or
+    failed = bool(violations or missing_roots or model.orphans or
+                  allow_errors or
                   (args.strict_allow and unused_allow))
     if failed:
         print("rt-lint: FAIL")
