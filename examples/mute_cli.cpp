@@ -3,9 +3,11 @@
 //
 //   mute_cli [--scheme mute|bose|bose_overall|mute_passive]
 //            [--noise white|male|female|construction|music|hum]
-//            [--fault none|dropout|jammer|fade|impulse|drift]
 //            [--seconds N] [--seed N] [--no-rf] [--profiling]
 //            [--drift METERS] [--wav PREFIX]
+//
+// Link-fault experiments run on the served device instead:
+// bench/fault_recovery.
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -24,7 +26,6 @@ using namespace mute;
   std::printf(
       "usage: %s [--scheme mute|bose|bose_overall|mute_passive]\n"
       "          [--noise white|male|female|construction|music|hum]\n"
-      "          [--fault none|dropout|jammer|fade|impulse|drift]\n"
       "          [--seconds N] [--seed N] [--no-rf] [--profiling]\n"
       "          [--drift METERS] [--wav PREFIX]\n",
       argv0);
@@ -49,20 +50,9 @@ sim::NoiseKind parse_noise(const std::string& s, const char* argv0) {
   usage(argv0);
 }
 
-sim::FaultScenario parse_fault(const std::string& s, const char* argv0) {
-  if (s == "none") return sim::FaultScenario::kNone;
-  if (s == "dropout") return sim::FaultScenario::kRelayDropout;
-  if (s == "jammer") return sim::FaultScenario::kJammerBurst;
-  if (s == "fade") return sim::FaultScenario::kDeepFade;
-  if (s == "impulse") return sim::FaultScenario::kImpulseNoise;
-  if (s == "drift") return sim::FaultScenario::kClockDrift;
-  usage(argv0);
-}
-
 int run_cli(int argc, char** argv) {
   sim::Scheme scheme = sim::Scheme::kMuteHollow;
   sim::NoiseKind noise_kind = sim::NoiseKind::kWhite;
-  sim::FaultScenario fault = sim::FaultScenario::kNone;
   double seconds = 10.0;
   std::uint64_t seed = 42;
   bool no_rf = false;
@@ -80,8 +70,6 @@ int run_cli(int argc, char** argv) {
       scheme = parse_scheme(next(), argv[0]);
     } else if (arg == "--noise") {
       noise_kind = parse_noise(next(), argv[0]);
-    } else if (arg == "--fault") {
-      fault = parse_fault(next(), argv[0]);
     } else if (arg == "--seconds") {
       seconds = std::stod(next());
     } else if (arg == "--seed") {
@@ -105,19 +93,11 @@ int run_cli(int argc, char** argv) {
   if (no_rf) cfg.use_rf_link = false;
   cfg.profiling = profiling;
   cfg.head_drift_m = drift;
-  // Script the fault across the middle of the run so there is converged
-  // cancellation both before and after it.
-  sim::apply_fault_scenario(cfg, fault, /*start_s=*/0.45 * seconds,
-                            /*duration_s=*/0.05 * seconds);
 
   auto noise = sim::make_noise(noise_kind, scene.sample_rate, seed + 1000);
   std::printf("running %s on %s for %.1f s (seed %llu)...\n",
               sim::scheme_name(scheme), sim::noise_name(noise_kind), seconds,
               static_cast<unsigned long long>(seed));
-  if (fault != sim::FaultScenario::kNone) {
-    std::printf("fault scenario: %s (link supervision armed)\n",
-                sim::fault_scenario_name(fault));
-  }
   const auto result = sim::run_anc_simulation(*noise, cfg);
 
   const double skip = seconds / 2.0;
@@ -135,15 +115,6 @@ int run_cli(int argc, char** argv) {
   if (profiling) {
     std::printf("profiles %zu, switches %zu\n", result.profiles_seen,
                 result.profile_switches);
-  }
-  if (fault != sim::FaultScenario::kNone) {
-    std::printf("link faults: %zu episode(s), %.2f s flagged, first at "
-                "%.2f s, recovered at %.2f s, %zu weight rollback(s)\n",
-                result.link_fault_episodes,
-                static_cast<double>(result.link_fault_samples) /
-                    result.sample_rate,
-                result.first_fault_s, result.last_recovery_s,
-                result.weight_rollbacks);
   }
 
   if (!wav_prefix.empty()) {

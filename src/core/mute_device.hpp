@@ -139,6 +139,11 @@ class MuteDevice {
   }
   /// Times the device entered kHolding.
   std::size_t hold_count() const { return hold_count_; }
+  /// Divergence-guard firings of the LANC engine (0 before the first
+  /// association).
+  std::size_t weight_rollbacks() const {
+    return lanc_.has_value() ? lanc_->engine().rollback_count() : 0;
+  }
 
   // --- Failover diagnostics -------------------------------------------
   /// Times the association was re-targeted via State::kHandoff.

@@ -57,22 +57,14 @@ const char* fault_scenario_name(FaultScenario scenario);
 
 /// Build the scripted fault schedule for `scenario` over
 /// [start_s, start_s + duration_s). kNone yields an empty schedule. The
-/// single source of the canned fault parameters — used by
-/// apply_fault_scenario for the single-link sim and by DeviceSimConfig
-/// callers (bench/failover, integration tests) to fault one relay of a
-/// multi-relay deployment.
+/// single source of the canned fault parameters: DeviceSimConfig callers
+/// (bench/fault_recovery, bench/failover, the integration tests) put it
+/// into `relay_faults` to fault one relay of a deployment.
 /// `jammer_channel` only affects kJammerBurst: >= 0 pins the interferer to
 /// that ISM channel (so spectrum-planner hops can dodge it); the -1
 /// default keeps the legacy co-channel follow-the-victim jammer.
 rf::FaultSchedule make_fault_schedule(FaultScenario scenario, double start_s,
                                       double duration_s,
                                       int jammer_channel = -1);
-
-/// Install `scenario` into `cfg`: forces the RF link on, scripts the fault
-/// over [start_s, start_s + duration_s), and arms the degradation stack
-/// (link supervision + FxLMS weight-norm guard). kNone leaves `cfg`
-/// untouched.
-void apply_fault_scenario(SystemConfig& cfg, FaultScenario scenario,
-                          double start_s = 4.5, double duration_s = 0.5);
 
 }  // namespace mute::sim

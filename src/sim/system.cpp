@@ -44,6 +44,13 @@ Transducer make_speaker(HardwareGrade grade, double fs, std::uint64_t seed) {
   throw InvariantError("unknown hardware grade");
 }
 
+constexpr double kDisturbanceRms = 0.1;  // at the open ear, ambient on
+constexpr double kWarmStartTuningS = 4.0;  // warm-start tuning record
+// Weight of the out-of-band output-effort penalty in the warm-start fit
+// (higher = less high-frequency spill, shallower in-band depth; the
+// Bode-integral trade every feedforward ANC makes).
+constexpr double kControlEffortWeight = 2.0;
+
 }  // namespace
 
 namespace detail {
@@ -141,7 +148,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
 
   {
     const double current = mute::dsp::rms(d_ac);
-    const double g = config.disturbance_rms / std::max(current, 1e-9);
+    const double g = kDisturbanceRms / std::max(current, 1e-9);
     for (auto& v : d_ac) v = static_cast<Sample>(static_cast<double>(v) * g);
     for (auto& v : x_ac) v = static_cast<Sample>(static_cast<double>(v) * g);
   }
@@ -160,7 +167,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
 
   double link_delay_samples = 0.0;
   Signal x_link;
-  if (config.wireless_reference && config.use_rf_link) {
+  if (config.use_rf_link) {
     rf::RelayConfig rf_cfg = config.rf;
     rf_cfg.audio_rate = fs;
     rf::RelayLink link(rf_cfg, config.seed + 23);
@@ -254,28 +261,10 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   lanc_opts.fxlms.noncausal_taps = noncausal;
   lanc_opts.fxlms.mu = config.mu;
   lanc_opts.fxlms.leakage = config.leakage;
-  lanc_opts.fxlms.weight_norm_limit = config.weight_norm_limit;
-  if (config.link_supervision) {
-    // Robust-adaptation companion to the monitor: during the detection
-    // latency of a silence/capture fault the reference is nearly dead,
-    // and NLMS's normalization would amplify those samples into weight
-    // random-walk. Gate updates below ~3e-3 rms per-tap excitation.
-    lanc_opts.fxlms.min_excitation = 1e-5;
-  }
   lanc_opts.sample_rate = fs;
   lanc_opts.profiling = config.profiling;
   lanc_opts.switch_hysteresis = config.profile_hysteresis;
   core::LancController lanc(cal.impulse_response, lanc_opts);
-
-  // Link supervision: the monitor sits between the received reference and
-  // the controller. While it flags the link, the LANC holds (adaptation
-  // frozen, output fading to zero) and the engine sees only sanitized
-  // samples — demodulator garbage never reaches the adaptive weights.
-  std::optional<core::LinkMonitor> link_monitor;
-  if (config.link_supervision) {
-    link_monitor.emplace(config.link_monitor, fs);
-  }
-  bool link_ok = true;
 
   // --- 8. Passive shell on the external-noise path ---------------------
   Signal d_at_ear = d_ac;
@@ -292,7 +281,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   // keeps refining from there.
   if (config.warm_start) {
     const auto tune_len = std::min<std::size_t>(
-        static_cast<std::size_t>(config.warm_start_tuning_s * fs), n);
+        static_cast<std::size_t>(kWarmStartTuningS * fs), n);
     Transducer tune_mic = make_mic(config.grade, fs, config.seed + 63);
     mute::dsp::BiquadCascade tune_elpf = make_control_lpf();
     Signal d_tune(tune_len);
@@ -324,7 +313,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
     auto w0 = adaptive::fit_causal_fir(u_tune, d_tune,
                                        noncausal + config.causal_taps,
                                        1e-4, effort,
-                                       config.control_effort_weight);
+                                       kControlEffortWeight);
     lanc.engine().set_weights(w0);
   }
 
@@ -357,23 +346,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
       lanc.engine().set_mu(config.mu_settle +
                            (config.mu - config.mu_settle) * frac);
     }
-    Sample x_t = x_link[t];
-    if (link_monitor) {
-      x_t = link_monitor->process(x_t);
-      const bool ok = link_monitor->healthy();
-      if (!ok && link_ok) {
-        lanc.hold();
-        if (result.first_fault_s < 0) {
-          result.first_fault_s = static_cast<double>(t) / fs;
-        }
-      } else if (ok && !link_ok) {
-        lanc.resume();
-        result.last_recovery_s = static_cast<double>(t) / fs;
-      }
-      link_ok = ok;
-      if (!ok) result.link_fault_flags |= link_monitor->flags();
-    }
-    const Sample y = lanc.tick(x_t);
+    const Sample y = lanc.tick(x_link[t]);
     const Sample spk = speaker.process(y);
     const Sample anti = hse_stream.process(spk);
     const Sample at_ear =
@@ -404,11 +377,6 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   result.calibration_error_db = cal.final_error_db;
   result.profile_switches = lanc.profile_switch_count();
   result.profiles_seen = lanc.profile_count();
-  if (link_monitor) {
-    result.link_fault_samples = link_monitor->unhealthy_samples();
-    result.link_fault_episodes = link_monitor->fault_episodes();
-  }
-  result.weight_rollbacks = lanc.engine().rollback_count();
   return result;
 }
 
@@ -466,7 +434,7 @@ DeviceStreams prepare_acoustic_streams(audio::SoundSource& noise,
     const double g = target_rms / std::max(loud_rms(s), 1e-9);
     for (auto& v : s) v = static_cast<Sample>(static_cast<double>(v) * g);
   };
-  scale_to(d_ac, config.disturbance_rms);
+  scale_to(d_ac, kDisturbanceRms);
   // Relay input gain staging, exactly as in the single-link sim: each
   // transmitter's trimmer/AGC drives the FM chain at its nominal 0.1 rms
   // (the level the LinkMonitor thresholds are tuned against — an
@@ -574,6 +542,8 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
   const auto block = std::max<std::size_t>(
       1, static_cast<std::size_t>(config.control_block_s * fs));
   std::vector<Signal> xb(relay_count);  // RF-processed current block
+  bool live = false;     // the device has reached kRunning at least once
+  bool flagged = false;  // some link monitor was flagged at the last boundary
 
   for (std::size_t start = 0; start < n; start += block) {
     const std::size_t len = std::min(block, n - start);
@@ -595,9 +565,9 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
     // record's quiet lead-in makes every monitor report silence, and a
     // planner fed that evidence would hop relays off perfectly clean
     // channels before the first selection round.
-    if (planner.has_value() &&
-        device.state() >= core::MuteDevice::State::kRunning) {
-      const double now_s = static_cast<double>(start + len) / fs;
+    const double now_s = static_cast<double>(start + len) / fs;
+    const bool running = device.state() >= core::MuteDevice::State::kRunning;
+    if (planner.has_value() && running) {
       for (std::size_t k = 0; k < relay_count; ++k) {
         const auto* monitor = device.link_monitor(k);
         if (monitor == nullptr) continue;
@@ -621,6 +591,20 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
         }
       }
     }
+
+    // Fault times, on the same live gate: the lead-in's silence episode
+    // is counted in the tallies but never sets a fault time.
+    live = live || running;
+    if (live) {
+      bool any_flagged = false;
+      for (std::size_t k = 0; k < relay_count; ++k) {
+        const auto* monitor = device.link_monitor(k);
+        if (monitor != nullptr && !monitor->healthy()) any_flagged = true;
+      }
+      if (any_flagged && result.first_fault_s < 0) result.first_fault_s = now_s;
+      if (!any_flagged && flagged) result.last_recovery_s = now_s;
+      flagged = any_flagged;
+    }
   }
   result.ambient_at_ear = std::move(streams.d);
 
@@ -630,6 +614,7 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
   result.handoff_count = device.handoff_count();
   result.shadow_handoff_count = device.shadow_handoff_count();
   result.device_hold_count = device.hold_count();
+  result.weight_rollbacks = device.weight_rollbacks();
   result.reacquisition_gap_s = device.last_reacquisition_gap_s();
   result.max_reacquisition_gap_s = device.max_reacquisition_gap_s();
   result.relay_active_s.resize(relay_count);

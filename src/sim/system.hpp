@@ -8,7 +8,6 @@
 #include "acoustics/environment.hpp"
 #include "audio/source.hpp"
 #include "core/lanc.hpp"
-#include "core/link_monitor.hpp"
 #include "core/mute_device.hpp"
 #include "core/timing.hpp"
 #include "rf/relay.hpp"
@@ -33,21 +32,11 @@ struct SystemConfig {
   double duration_s = 8.0;
   std::uint64_t seed = 1;
 
-  // Reference acquisition.
-  bool wireless_reference = true;     // false = headphone-mounted ref mic
+  // Reference acquisition; false = wired (headphone-mounted) ref mic.
+  // Link faults and their supervision run on the device sim.
   bool use_rf_link = true;            // push reference through the FM chain
-  rf::RelayConfig rf{};               // rf.faults scripts link faults
+  rf::RelayConfig rf{};
   double extra_reference_delay_s = 0.0;  // Figure 16 delayed-line injection
-
-  // Link supervision & graceful degradation (opt-in; pairs with
-  // rf.faults): a LinkMonitor watches the received reference and, while it
-  // is flagged, the LANC freezes adaptation and fades the anti-noise out so
-  // the ear is never louder than passive. Off by default so benign-channel
-  // experiments are bit-identical with and without this subsystem.
-  bool link_supervision = false;
-  core::LinkMonitorOptions link_monitor{};
-  // FxLMS divergence guard (FxlmsOptions::weight_norm_limit); 0 = off.
-  double weight_norm_limit = 0.0;
 
   // Processing-latency budget (Equation 3).
   core::LatencyBudget latency = core::LatencyBudget::mute_ear_device();
@@ -87,7 +76,6 @@ struct SystemConfig {
   // with; LMS keeps refining online. Cold start (false) shows raw
   // convergence behaviour instead.
   bool warm_start = false;
-  double warm_start_tuning_s = 4.0;
 
   // Control bandwidth (0 = full band). A conventional headphone cannot
   // realize the fractional-sample *advance* its geometry demands; an
@@ -100,11 +88,6 @@ struct SystemConfig {
   // penalty), not as a physical output filter, which would add group
   // delay the headphone cannot afford.
   double control_bandwidth_hz = 0.0;
-
-  // Weight of the out-of-band output-effort penalty in the warm-start
-  // controller fit (higher = less high-frequency spill, shallower
-  // in-band depth; the Bode-integral trade every feedforward ANC makes).
-  double control_effort_weight = 2.0;
 
   // Hardware.
   HardwareGrade grade = HardwareGrade::kCheap;
@@ -123,9 +106,6 @@ struct SystemConfig {
   // stable for moderate delays if mu is reduced (the variant builders do).
   std::size_t error_feedback_delay_samples = 0;
 
-  // Level: disturbance RMS at the (open) ear before any device.
-  double disturbance_rms = 0.1;
-
   // Head mobility (Section 6 limitation): the error microphone drifts
   // this many meters (+y) over the run, so the noise->ear channel is
   // time-varying and the adaptive filter must track it. The device-local
@@ -140,11 +120,14 @@ struct SystemConfig {
   std::optional<acoustics::Point> second_source_position;
 };
 
-/// Everything a run produces. Signals are aligned sample-for-sample.
+/// Everything a run produces. Signals are aligned sample-for-sample. Both
+/// runners (run_anc_simulation, "the figure sim", and
+/// run_device_simulation, "the device sim") fill a field unless its group
+/// names one; the other leaves it at its default.
 struct SystemResult {
   Signal disturbance;       // what the ear hears with no ANC (after shell)
   Signal residual;          // what the ear hears with ANC running
-  Signal reference;         // the reference stream the DSP consumed
+  Signal reference;         // the DSP's reference stream (figure sim)
   // Raw acoustic components of the residual (before the measurement
   // microphone): residual ~= ambient_at_ear + anti_at_ear + mic noise.
   // Needed by experiments where the two components take different onward
@@ -154,28 +137,30 @@ struct SystemResult {
   double sample_rate = 0.0;
 
   // Timing diagnostics.
-  double acoustic_lookahead_s = 0.0;  // Equation 4 geometry
-  double link_delay_s = 0.0;          // measured RF-link group delay
+  double acoustic_lookahead_s = 0.0;  // Equation 4 geometry (figure sim)
+  double link_delay_s = 0.0;          // RF-link group delay (figure sim)
   double usable_lookahead_s = 0.0;    // after budget subtraction
   std::size_t noncausal_taps = 0;     // N actually configured
 
   // Secondary-path calibration quality (residual dB; more negative=better).
   double calibration_error_db = 0.0;
 
-  // Profiling diagnostics.
+  // Profiling diagnostics (figure sim).
   std::size_t profile_switches = 0;
   std::size_t profiles_seen = 0;
 
-  // Fault/recovery diagnostics (populated when link_supervision is on).
+  // Fault/recovery diagnostics (device sim; DESIGN.md §8). The tallies
+  // include one kSilent episode per relay for the muted power-up lead-in;
+  // the times are read at control-block boundaries once the device has
+  // first reached kRunning, so the lead-in never sets them.
   std::size_t link_fault_samples = 0;   // reference samples flagged bad
   std::size_t link_fault_episodes = 0;  // distinct flagged intervals
-  double first_fault_s = -1.0;          // onset of the first flag (-1: none)
-  double last_recovery_s = -1.0;        // end of the last flag (-1: none)
-  unsigned link_fault_flags = 0;        // LinkFlags bitmask union
+  double first_fault_s = -1.0;          // first flagged boundary (-1: none)
+  double last_recovery_s = -1.0;        // all healthy again (-1: none)
+  unsigned link_fault_flags = 0;        // OR of each relay's last episode
   std::size_t weight_rollbacks = 0;     // divergence-guard firings
 
-  // Failover diagnostics (populated by run_device_simulation; the
-  // single-link run_anc_simulation has no device state machine).
+  // Failover diagnostics (device sim).
   std::size_t handoff_count = 0;        // kHandoff re-targets
   std::size_t shadow_handoff_count = 0; // handoffs installed from the shadow
   std::size_t device_hold_count = 0;    // kHolding entries
@@ -183,22 +168,22 @@ struct SystemResult {
   double max_reacquisition_gap_s = 0.0; // longest such gap over the run
   std::vector<double> relay_active_s;   // kRunning seconds per relay
 
-  // Spectrum supervision diagnostics (run_device_simulation; the hop and
-  // TX-step counts stay 0 with supervision off).
+  // Spectrum supervision diagnostics (device sim; the hop and TX-step
+  // counts stay 0 with supervision off).
   std::size_t hop_count = 0;
   std::size_t tx_step_count = 0;
   std::vector<std::size_t> final_channels;  // per relay
   std::vector<double> final_tx_gain_db;     // per relay
 
-  // Allocation accounting (run_device_simulation): device ticks that
-  // heap-allocated. Zero unless the operator-new interposition is
-  // compiled in (allocation_tracking says whether it was).
+  // Allocation accounting (device sim): device ticks that heap-allocated.
+  // Zero unless the operator-new interposition is compiled in
+  // (allocation_tracking says whether it was).
   std::uint64_t allocating_ticks = 0;
   std::uint64_t total_ticks = 0;
   bool allocation_tracking = false;
 
-  // Never-louder windows of run_device_simulation, scored online. The
-  // first judged window starts 0.1 s after the ambient does.
+  // Never-louder windows (device sim), scored online. The first judged
+  // window starts 0.1 s after the ambient does.
   NeverLouderAccountant never_louder;
 };
 
@@ -225,10 +210,6 @@ struct DeviceSimConfig {
   std::vector<acoustics::Point> relay_positions;
   double duration_s = 10.0;
   std::uint64_t seed = 1;
-  /// Disturbance RMS at the ear once the ambient starts. The ambient is
-  /// muted through the device's power-up calibration (plus 0.1 s of
-  /// margin), like the quiet-room calibration of the offline sim.
-  double disturbance_rms = 0.1;
 
   /// Push every relay's reference through its own FM chain. Required for
   /// the scripted fault scenarios (faults live in the RF layer).
@@ -294,9 +275,9 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
 /// honest account of what the ear hears across the device lifecycle);
 /// `reference` is left empty (each relay has its own stream). Failover
 /// diagnostics (handoff_count, reacquisition_gap_s, relay_active_s,
-/// device_hold_count), the per-relay link-fault tallies, the spectrum
-/// supervision and allocation tallies and the never-louder windows are
-/// populated. One DeviceSession is stepped per control block.
+/// device_hold_count), the link-fault tallies and times, the rollbacks,
+/// the spectrum supervision and allocation tallies and the never-louder
+/// windows are populated. One DeviceSession is stepped per control block.
 SystemResult run_device_simulation(audio::SoundSource& noise,
                                    const DeviceSimConfig& config);
 

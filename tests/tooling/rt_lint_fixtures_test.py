@@ -10,7 +10,8 @@ Also pins the allow-list policy: a justified entry silences exactly its
 (function, construct) pair, and an entry without a justification fails the
 run on its own; and the parser's precision: a braced default argument
 keeps its function on the root set, a member call on a standard-library
-object does not resolve to a project method of the same name, and an
+object (declared with a std:: type or a `using` alias of one) does not
+resolve to a project method of the same name, and an
 annotation that yields no root fails the gate at its file:line.
 
 Run via ctest (rt_lint_fixtures) or directly; exits non-zero on any
@@ -67,6 +68,8 @@ with tempfile.TemporaryDirectory() as tmp:
     check("clean fixture passes", run("rt_clean.cpp"), 0)
     check("std-object member call does not resolve to a project method",
           run("rt_clean_std_member.cpp"), 0)
+    check("member call through an alias of a std type does not resolve "
+          "to a project method", run("rt_clean_std_alias_member.cpp"), 0)
     check("annotation that yields no root fails at its file:line",
           run("rt_bad_orphan_annotation.cpp"), 1,
           ("ORPHAN ANNOTATION", "rt_bad_orphan_annotation.cpp:9"))

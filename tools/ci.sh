@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI pipeline — the gating jobs of .github/workflows/ci.yml (the
-# workflow's extra failover-smoke job is reporting-only and runs the
-# bench/failover table as a per-push artifact), runnable on any machine
-# with the base toolchain:
+# workflow's extra failover-smoke job is reporting-only: it runs
+# bench/failover and the device fault-recovery table bench/fault_recovery
+# and uploads both as per-push artifacts), runnable on any machine with
+# the base toolchain:
 #
 #   1. plain    : dev preset build + full ctest
 #   2. sanitize : asan-ubsan preset build + ctest -L sanitize

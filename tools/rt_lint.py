@@ -13,9 +13,10 @@ length-preserving comment/string stripper, a scope-tracking function
 extractor, and name-based call resolution. Ambiguous member calls traverse
 only RT-annotated candidates (the precision limit of name-based
 resolution; every ambiguity is listed in the report so it is visible).
-Member calls on objects declared with a std:: type never resolve to
-project functions. Every MUTE_RT_SAFE annotation must yield a root, so the
-root set cannot shrink silently. It exits non-zero on any violation, so
+Member calls on objects declared with a std:: type, or with a
+`using X = std::...;` alias of one from the scanned sources, never resolve
+to project functions. Every MUTE_RT_SAFE annotation must yield a root, so
+the root set cannot shrink silently. It exits non-zero on any violation, so
 `rt_lint.py && ...` is a valid gate.
 
 Deny-list (construct ids as they appear in reports / the allow-list):
@@ -168,6 +169,8 @@ class Model:
         self.fns = {}           # qname -> Fn
         self.by_simple = {}     # simple -> [qname]
         self.class_text = {}    # class qname -> stripped class body
+        self.class_names = set()  # simple names of project classes
+        self.aliases = {}       # `using X = T;` alias X -> [T, ...]
         self.orphans = []       # (file, line) of MUTE_RT_SAFE with no root
 
     def get(self, qname, simple, file, line):
@@ -204,7 +207,19 @@ class Model:
             decl = (declared_types(context, receiver) or
                     declared_types(self.class_text.get(
                         fn.qname.rsplit("::", 1)[0], ""), receiver))
-        return bool(decl) and all(t.startswith("std::") for t in decl)
+        return bool(decl) and all(self.is_std_type(t) for t in decl)
+
+    def is_std_type(self, t, seen=()):
+        """True for a std:: type or an alias that resolves to one (through
+        alias chains). A name that is also a project class, or an alias
+        with a non-std meaning anywhere, does not count."""
+        if t.startswith("std::"):
+            return True
+        base = re.sub(r"<.*", "", t).rsplit("::", 1)[-1]
+        targets = self.aliases.get(base)
+        if not targets or base in seen or base in self.class_names:
+            return False
+        return all(self.is_std_type(x, seen + (base,)) for x in targets)
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +288,7 @@ def match_brace(text, open_pos):
 
 
 ANNOT_RE = re.compile(r"\bMUTE_RT_(SAFE|UNSAFE|ESCAPE)\b")
+ALIAS_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;{}]+);")
 NS_RE = re.compile(r"\bnamespace\s+([A-Za-z_][\w:]*)?\s*$")
 CLASS_RE = re.compile(
     r"\b(?:class|struct|union)\s+(?:\[\[[^\]]*\]\]\s*)?(?:alignas\s*\([^)]*\)\s*)?"
@@ -366,6 +382,9 @@ def scan_source(model, path, text):
     # root.
     safe_sites = {m.start() for m in ANNOT_RE.finditer(stripped)
                   if m.group(1) == "SAFE"}
+    for m in ALIAS_RE.finditer(stripped):
+        model.aliases.setdefault(m.group(1), []).append(
+            re.sub(r"\s+", "", m.group(2)))
 
     def qualify(name):
         parts = [nm for kind, nm, _q, _s in scope
@@ -424,6 +443,7 @@ def scan_source(model, path, text):
                 head_start = i + 1
                 i += 1
             elif clm:
+                model.class_names.add(clm.group(1))
                 scope.append(("cls", clm.group(1), qualify(clm.group(1)),
                               i + 1))
                 head_start = i + 1
