@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "audio/generators.hpp"
-#include "common/math_utils.hpp"
+#include "eval/metrics.hpp"
 #include "eval/report.hpp"
 #include "sim/parallel_sweep.hpp"
 #include "sim/scenarios.hpp"
@@ -34,16 +34,8 @@ constexpr double kPreEnd = 5.9;
 /// Broadband cancellation over [t0, t1): residual power re disturbance, dB
 /// (negative = quieter than passive).
 double window_db(const sim::SystemResult& r, double t0, double t1) {
-  const auto i0 = static_cast<std::size_t>(t0 * r.sample_rate);
-  const auto i1 = static_cast<std::size_t>(t1 * r.sample_rate);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = i0; i < i1 && i < r.residual.size(); ++i) {
-    num += static_cast<double>(r.residual[i]) *
-           static_cast<double>(r.residual[i]);
-    den += static_cast<double>(r.disturbance[i]) *
-           static_cast<double>(r.disturbance[i]);
-  }
-  return power_to_db(num / std::max(den, 1e-20));
+  return eval::window_cancellation_db(r.disturbance, r.residual,
+                                     r.sample_rate, t0, t1);
 }
 
 /// Seconds after link restoration until a sliding 0.25 s window first

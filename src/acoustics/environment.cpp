@@ -4,6 +4,9 @@
 
 namespace mute::acoustics {
 
+// Every synthesized room path is this many taps long.
+constexpr std::size_t kRirLength = 2048;
+
 Scene Scene::paper_office() {
   Scene s;
   s.room = Room::office();
@@ -19,7 +22,7 @@ Scene Scene::paper_office() {
 ChannelSet build_channels(const Scene& scene) {
   RirOptions opts;
   opts.sample_rate = scene.sample_rate;
-  opts.length = scene.rir_length;
+  opts.length = kRirLength;
 
   auto nr = image_source_rir(scene.room, scene.noise_source, scene.relay_mic,
                              opts);
@@ -52,7 +55,7 @@ AcousticChannel build_path(const Scene& scene, Point source, Point receiver,
                            const char* label) {
   RirOptions opts;
   opts.sample_rate = scene.sample_rate;
-  opts.length = scene.rir_length;
+  opts.length = kRirLength;
   return AcousticChannel(
       image_source_rir(scene.room, source, receiver, opts), label);
 }

@@ -19,7 +19,6 @@ struct Scene {
   Point error_mic{5.0, 2.5, 1.2};       // at the (virtual) ear
   Point anti_speaker{5.0, 2.47, 1.2};   // 3 cm from the error mic
   double sample_rate = kDefaultSampleRate;
-  std::size_t rir_length = 2048;
 
   /// The paper's Figure 2 layout: relay on the wall near the door (noise
   /// outside/near the door), ear device on the table across the office.

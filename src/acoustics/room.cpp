@@ -34,11 +34,15 @@ bool Room::contains(Point p) const {
 
 namespace {
 
+/// Windowed-sinc spread of each image's band-limited impulse.
+constexpr std::size_t kInterpTaps = 23;
+
 /// Add one band-limited impulse of amplitude `amp` at fractional sample
-/// position `delay` into `rir` using a Hann-windowed sinc of `taps` points.
+/// position `delay` into `rir` using a Hann-windowed sinc of kInterpTaps
+/// points.
 void add_bandlimited_impulse(std::vector<double>& rir, double delay,
-                             double amp, std::size_t taps) {
-  const auto half = static_cast<std::ptrdiff_t>(taps / 2);
+                             double amp) {
+  const auto half = static_cast<std::ptrdiff_t>(kInterpTaps / 2);
   const auto center = static_cast<std::ptrdiff_t>(std::floor(delay));
   for (std::ptrdiff_t i = center - half; i <= center + half; ++i) {
     if (i < 0 || i >= static_cast<std::ptrdiff_t>(rir.size())) continue;
@@ -86,9 +90,7 @@ std::vector<double> image_source_rir(const Room& room, Point source,
             std::pow(room.reflection_x, std::abs(nx)) *
             std::pow(room.reflection_y, std::abs(ny)) *
             std::pow(room.reflection_z, std::abs(nz));
-        const double amp =
-            refl * (opts.include_spreading ? spreading_gain(d) : 1.0);
-        add_bandlimited_impulse(rir, delay, amp, opts.interp_taps);
+        add_bandlimited_impulse(rir, delay, refl * spreading_gain(d));
       }
     }
   }
@@ -104,8 +106,7 @@ std::vector<double> free_field_ir(Point source, Point receiver,
   const double delay = d / speed_of_sound * opts.sample_rate;
   ensure(delay < static_cast<double>(opts.length),
          "free-field delay exceeds requested IR length");
-  const double amp = opts.include_spreading ? spreading_gain(d) : 1.0;
-  add_bandlimited_impulse(ir, delay, amp, opts.interp_taps);
+  add_bandlimited_impulse(ir, delay, spreading_gain(d));
   return ir;
 }
 

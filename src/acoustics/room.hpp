@@ -40,8 +40,6 @@ struct Room {
 struct RirOptions {
   double sample_rate = kDefaultSampleRate;
   std::size_t length = 2048;        // taps
-  std::size_t interp_taps = 23;     // windowed-sinc spread per image
-  bool include_spreading = true;    // 1/r amplitude loss
 };
 
 /// Synthesize the room impulse response from `source` to `receiver` with

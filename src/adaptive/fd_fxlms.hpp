@@ -43,7 +43,6 @@ struct FdFxlmsOptions {
   /// under the acoustic lead it has left after `noncausal_taps`.
   std::size_t block = 0;
   double mu = 0.5;          // per-bin NLMS-normalized step
-  double epsilon = 1e-6;    // bin-power regularizer
   double leakage = 0.0;     // leakage per adapt (keep = 1 - mu*leakage,
                             // same semantics as FxlmsOptions::leakage)
   FdConstraint constraint = FdConstraint::kRoundRobin;

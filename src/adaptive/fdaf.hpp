@@ -27,11 +27,10 @@ class BlockFdaf {
   struct Options {
     std::size_t taps = 512;   // filter length (rounded up to a power of 2)
     double mu = 0.5;          // per-bin NLMS step
-    double epsilon = 1e-8;    // bin-power regularizer
     double power_alpha = 0.9; // EMA for the per-bin power estimate; seeded
                               // from the first block's own power so the
-                              // first update never normalizes by epsilon
-                              // alone (cold-start divergence)
+                              // first update never normalizes by the
+                              // regularizer alone (cold-start divergence)
     bool constrained = true;  // gradient constraint (zero the tail)
   };
 

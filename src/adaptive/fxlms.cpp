@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "adaptive/lms.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "dsp/kernels.hpp"
@@ -20,7 +21,6 @@ FxlmsEngine::FxlmsEngine(std::vector<double> secondary_path_estimate,
       good_w_(w_.size(), 0.0) {
   ensure(opts_.causal_taps >= 1, "need at least one causal tap");
   ensure(opts_.mu > 0, "mu must be positive");
-  ensure(opts_.epsilon > 0, "epsilon must be positive");
   ensure(opts_.leakage >= 0 && opts_.leakage < 1, "leakage in [0,1)");
   ensure(opts_.weight_norm_limit >= 0, "weight norm limit must be >= 0");
   ensure(opts_.min_excitation >= 0, "min excitation must be >= 0");
@@ -63,7 +63,7 @@ void FxlmsEngine::adapt(Sample error) {
       u_power_ < opts_.min_excitation * static_cast<double>(w_.size())) {
     return;  // reference too weak to identify anything; updating is noise
   }
-  const double denom = std::max(u_power_, 0.0) + opts_.epsilon;
+  const double denom = std::max(u_power_, 0.0) + kNlmsEpsilon;
   const double g = opts_.mu * static_cast<double>(error) / denom;
   const double keep = 1.0 - opts_.mu * opts_.leakage;
   const double norm2 = dsp::kernels::axpy_leaky_norm(

@@ -21,7 +21,6 @@ struct FxlmsOptions {
   std::size_t causal_taps = 256;
   std::size_t noncausal_taps = 0;
   double mu = 0.5;          // NLMS-normalized step size
-  double epsilon = 1e-6;    // normalization regularizer
   double leakage = 0.0;     // coefficient leakage per update
   // Divergence guard: when the weight L2 norm exceeds this after an
   // update, the weights roll back to the last-known-good snapshot instead

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "adaptive/lms.hpp"
 #include "common/error.hpp"
 #include "dsp/kernels.hpp"
 
@@ -10,7 +11,6 @@ namespace mute::adaptive {
 MultiFxlmsEngine::MultiFxlmsEngine(std::vector<double> secondary_path_estimate,
                                    std::vector<FxlmsOptions> per_channel)
     : mu_(per_channel.empty() ? 0.0 : per_channel.front().mu),
-      epsilon_(per_channel.empty() ? 1e-6 : per_channel.front().epsilon),
       leakage_(per_channel.empty() ? 0.0 : per_channel.front().leakage) {
   ensure(!secondary_path_estimate.empty(), "secondary path must be non-empty");
   ensure(!per_channel.empty(), "need at least one reference channel");
@@ -61,7 +61,8 @@ Sample MultiFxlmsEngine::compute_antinoise() const {
 void MultiFxlmsEngine::adapt(Sample error) {
   double total_power = 0.0;
   for (const auto& ch : channels_) total_power += std::max(ch.u_power, 0.0);
-  const double g = mu_ * static_cast<double>(error) / (total_power + epsilon_);
+  const double g =
+      mu_ * static_cast<double>(error) / (total_power + kNlmsEpsilon);
   const double keep = 1.0 - mu_ * leakage_;
   for (auto& ch : channels_) {
     dsp::kernels::axpy_leaky_norm(ch.w.data(), ch.u_hist.data(), keep, -g,

@@ -64,7 +64,6 @@ class MultiFxlmsEngine {
   };
 
   double mu_;
-  double epsilon_;
   double leakage_;
   std::vector<Channel> channels_;
 };

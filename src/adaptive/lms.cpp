@@ -13,7 +13,6 @@ AdaptiveFir::AdaptiveFir(std::size_t taps, LmsOptions options)
     : opts_(options), w_(taps, 0.0), x_(taps) {
   ensure(taps >= 1, "need at least one tap");
   ensure(options.mu > 0, "mu must be positive");
-  ensure(options.epsilon > 0, "epsilon must be positive");
   ensure(options.leakage >= 0 && options.leakage < 1, "leakage in [0,1)");
 }
 
@@ -35,7 +34,7 @@ Sample AdaptiveFir::predict(Sample x) {
 Sample AdaptiveFir::update(Sample desired) {
   const double e = static_cast<double>(desired) - last_y_;
   const double denom =
-      opts_.normalized ? (std::max(power_, 0.0) + opts_.epsilon) : 1.0;
+      opts_.normalized ? (std::max(power_, 0.0) + kNlmsEpsilon) : 1.0;
   const double g = opts_.mu * e / denom;
   const double keep = 1.0 - opts_.mu * opts_.leakage;
   dsp::kernels::axpy_leaky_norm(w_.data(), x_.data(), keep, g, w_.size());

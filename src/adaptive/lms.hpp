@@ -10,11 +10,14 @@
 
 namespace mute::adaptive {
 
+/// Regularizer added to the reference power that every NLMS-normalized
+/// engine of the LMS family (AdaptiveFir, FxLMS, FD-FxLMS) divides by.
+inline constexpr double kNlmsEpsilon = 1e-6;
+
 /// Step-size policy for the LMS family.
 struct LmsOptions {
   double mu = 0.05;          // adaptation rate
   bool normalized = true;    // NLMS: divide by reference power
-  double epsilon = 1e-6;     // NLMS regularizer
   double leakage = 0.0;      // coefficient leakage (0 = none)
 };
 

@@ -23,7 +23,6 @@ struct MuteDeviceConfig {
 
   // Power-up secondary-path calibration (plays training noise).
   double calibration_s = 2.0;
-  double training_rms = 0.1;
   std::size_t secondary_taps = 256;
 
   // Relay selection (Section 4.2): listen this long before choosing, and
@@ -73,11 +72,6 @@ struct MuteDeviceConfig {
   // paying the ~total_taps history-refill gap.
   bool enable_shadow = true;
   ShadowFilterOptions shadow{};
-  // With a converged shadow standing by, a flagged link only gets this
-  // long to recover before the association hands over — the full
-  // hold_timeout_s wait exists to amortize a COLD re-acquisition, and a
-  // shadow handoff is nearly free.
-  double shadow_fast_handoff_s = 0.02;
 
   std::uint64_t seed = 1;
 };
@@ -172,6 +166,14 @@ class MuteDevice {
 
  private:
   enum class AdverseCause { kNone, kNoChosen, kRivalWon };
+
+  // RMS of the power-up calibration's training noise.
+  static constexpr double kTrainingRms = 0.1;
+  // With a converged shadow standing by, a flagged link only gets this
+  // long to recover before the association hands over — the full
+  // hold_timeout_s wait exists to amortize a COLD re-acquisition, and a
+  // shadow handoff is nearly free.
+  static constexpr double kShadowFastHandoffS = 0.02;
 
   Sample tick_impl(std::span<const Sample> relay_samples,
                    Sample error_sample);

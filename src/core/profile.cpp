@@ -86,16 +86,25 @@ ProfileSignature SignatureExtractor::extract(std::span<const Sample> frame) {
   return sig;
 }
 
+// Signature distance above which a new profile forms.
+constexpr double kMatchThreshold = 0.6;
+constexpr double kCentroidAlpha = 0.05;  // EMA update toward new members
+// Centroids absorb (EMA-drift toward) a frame only when the match is
+// confident — within this fraction of the threshold. Without the margin,
+// borderline frames during source transitions drag a centroid across the
+// feature space until one cluster swallows everything.
+constexpr double kAbsorbFraction = 0.5;
+constexpr double kSilenceDb = -55.0;  // below this level -> profile 0
+
 ProfileClassifier::ProfileClassifier() : ProfileClassifier(Options{}) {}
 
 ProfileClassifier::ProfileClassifier(Options options) : opts_(options) {
   ensure(options.max_profiles >= 2, "need >= 2 profile slots");
-  ensure(options.match_threshold > 0, "threshold must be positive");
 }
 
 std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
   // Silence gate first: profile 0.
-  if (signature.level_db < opts_.silence_db) {
+  if (signature.level_db < kSilenceDb) {
     if (centroids_.empty()) centroids_.push_back(signature);
     return 0;
   }
@@ -116,20 +125,20 @@ std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
     }
   }
   if (centroids_.size() == 1 ||
-      (best_d > opts_.match_threshold &&
+      (best_d > kMatchThreshold &&
        centroids_.size() < opts_.max_profiles)) {
     centroids_.push_back(signature);
     return centroids_.size() - 1;
   }
   // Absorb into the nearest centroid (EMA), but only on confident matches
   // so transition frames cannot drag the centroid across clusters.
-  if (best_d < opts_.absorb_fraction * opts_.match_threshold) {
+  if (best_d < kAbsorbFraction * kMatchThreshold) {
     auto& c = centroids_[best];
     for (std::size_t i = 0; i < c.band_fraction.size(); ++i) {
-      c.band_fraction[i] += opts_.centroid_alpha *
+      c.band_fraction[i] += kCentroidAlpha *
                             (signature.band_fraction[i] - c.band_fraction[i]);
     }
-    c.level_db += opts_.centroid_alpha * (signature.level_db - c.level_db);
+    c.level_db += kCentroidAlpha * (signature.level_db - c.level_db);
   }
   return best;
 }

@@ -52,15 +52,7 @@ class SignatureExtractor {
 class ProfileClassifier {
  public:
   struct Options {
-    double match_threshold = 0.6;  // distance above which a new profile forms
     std::size_t max_profiles = 6;
-    double centroid_alpha = 0.05;  // EMA update toward new members
-    // Centroids absorb (EMA-drift toward) a frame only when the match is
-    // confident — within this fraction of the threshold. Without the
-    // margin, borderline frames during source transitions drag a centroid
-    // across the feature space until one cluster swallows everything.
-    double absorb_fraction = 0.5;
-    double silence_db = -55.0;     // below this level -> dedicated profile 0
   };
 
   ProfileClassifier();
@@ -71,7 +63,6 @@ class ProfileClassifier {
   std::size_t classify(const ProfileSignature& signature);
 
   std::size_t profile_count() const { return centroids_.size(); }
-  const Options& options() const { return opts_; }
   void reset();
 
  private:

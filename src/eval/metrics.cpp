@@ -107,6 +107,20 @@ double band_cancellation_db(std::span<const Sample> disturbance,
                      std::max(psd_d.band_power(lo_hz, hi_hz), 1e-24));
 }
 
+double window_cancellation_db(std::span<const Sample> disturbance,
+                              std::span<const Sample> residual,
+                              double sample_rate, double t0_s, double t1_s) {
+  const auto i0 = static_cast<std::size_t>(t0_s * sample_rate);
+  const auto i1 = static_cast<std::size_t>(t1_s * sample_rate);
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = i0; i < i1 && i < residual.size(); ++i) {
+    num += static_cast<double>(residual[i]) * static_cast<double>(residual[i]);
+    den += static_cast<double>(disturbance[i]) *
+           static_cast<double>(disturbance[i]);
+  }
+  return power_to_db(num / std::max(den, 1e-20));
+}
+
 std::vector<double> moving_rms(std::span<const Sample> x, std::size_t window) {
   ensure(window >= 1, "window must be >= 1");
   std::vector<double> out(x.size(), 0.0);

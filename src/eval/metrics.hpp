@@ -41,6 +41,13 @@ double band_cancellation_db(std::span<const Sample> disturbance,
                             double sample_rate, double lo_hz, double hi_hz,
                             double skip_s = 2.0);
 
+/// Broadband cancellation over the time window [t0_s, t1_s): residual
+/// power re disturbance power, in dB (negative = quieter than passive).
+/// A window running past the end of the residual record is clipped to it.
+double window_cancellation_db(std::span<const Sample> disturbance,
+                              std::span<const Sample> residual,
+                              double sample_rate, double t0_s, double t1_s);
+
 /// Time for the residual to converge: first instant after which the moving
 /// RMS (window `window_s`) stays within `margin_db` of the final tail RMS.
 /// Returns the full duration if it never converges.

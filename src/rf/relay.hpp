@@ -13,16 +13,12 @@
 
 namespace mute::rf {
 
-/// Configuration of the end-to-end relay link.
+/// Configuration of the end-to-end relay link. The analog chain itself is
+/// fixed hardware — one RF rate, audio low-pass, FM deviation and
+/// channel-select filter (see the constants in relay.cpp).
 struct RelayConfig {
   double audio_rate = kDefaultSampleRate;
-  double rf_rate = kDefaultRfSampleRate;
-  double audio_cutoff_hz = 7'000.0;   // relay LPF
-  double audio_gain = 1.0;
-  double clip_level = 4.0;
-  double fm_deviation_hz = 60'000.0;  // wideband-FM-style deviation
   double pa_backoff_db = 3.0;
-  double rx_bandwidth_hz = 180'000.0; // channel-select bandwidth (Carson)
   // Privacy (Section 4.4 "sound scrambling"): spectrally invert the audio
   // before modulation (multiply by (-1)^n, mapping f -> fs/2 - f). The
   // legitimate ear device inverts it back; an eavesdropper who demodulates
@@ -39,7 +35,8 @@ struct RelayConfig {
 /// The all-analog IoT relay transmitter (paper Figure 9): microphone audio
 /// -> LPF -> amplifier -> VCO/FM -> (PLL up-conversion, modeled as the
 /// baseband phasor) -> PA. Audio enters at `audio_rate`; the emitted
-/// complex baseband stream is at `rf_rate`. No sample is ever stored.
+/// complex baseband stream is at `kDefaultRfSampleRate`. No sample is ever
+/// stored.
 ///
 /// Every stage is streaming-stateful (biquads, VCO phase, and the
 /// interpolator's carried input tail), so splitting a record into blocks
@@ -49,7 +46,7 @@ class RelayTransmitter {
   RelayTransmitter(const RelayConfig& config, std::uint64_t seed);
 
   /// Transmit a block of audio; returns the complex baseband RF signal
-  /// (length = audio length * rf_rate / audio_rate).
+  /// (length = audio length * kDefaultRfSampleRate / audio_rate).
   ComplexSignal transmit(std::span<const Sample> audio);
 
   void reset();

@@ -25,6 +25,9 @@ namespace mute::sim {
 class NeverLouderAccountant {
  public:
   static constexpr double kWindowS = 0.25;
+  /// How far a judged window may sit above passive before the run counts
+  /// as louder than passive (the soaks' and fleet's pass bound).
+  static constexpr double kLouderMarginDb = 3.0;
 
   NeverLouderAccountant() = default;  // empty result placeholder
   NeverLouderAccountant(double sample_rate, std::size_t grace_samples);

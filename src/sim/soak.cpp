@@ -17,6 +17,16 @@ constexpr double kCalibrationS = 1.0;
 constexpr double kChaosLeadS = 3.5;
 constexpr double kChaosTailS = 1.5;
 
+// --- Invariant bounds ---------------------------------------------------
+// Longest tolerated out-of-kRunning gap. Generous against the warm
+// (~0.33 s) path: chaos schedules can fault the standby mid-handoff.
+constexpr double kMaxGapBoundS = 1.0;
+// Steady state must be allocation-free: at most this fraction of device
+// ticks may heap-allocate (control events — selection rounds, handoffs —
+// are the only legitimate allocators). Checked only when the operator-new
+// interposition is compiled in.
+constexpr double kAllocTickFraction = 1e-3;
+
 const FaultScenario kSoakKinds[] = {
     FaultScenario::kRelayDropout, FaultScenario::kJammerBurst,
     FaultScenario::kDeepFade, FaultScenario::kImpulseNoise,
@@ -129,12 +139,12 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
         static_cast<double>(acc.worst_window_end() - acc.window_samples()) /
         r.sample_rate;
   }
-  report.never_louder =
-      report.worst_window_excess_db <= config.louder_margin_db;
+  report.never_louder = report.worst_window_excess_db <=
+                        NeverLouderAccountant::kLouderMarginDb;
 
   // Invariant 2: bounded re-acquisition.
   report.max_reacquisition_gap_s = r.max_reacquisition_gap_s;
-  report.gap_bounded = r.max_reacquisition_gap_s <= config.max_gap_bound_s;
+  report.gap_bounded = r.max_reacquisition_gap_s <= kMaxGapBoundS;
 
   // Invariant 3: allocation-free steady state (vacuous without the
   // operator-new interposition — reported as such, never silently green).
@@ -144,7 +154,7 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   if (r.allocation_tracking && r.total_ticks > 0) {
     report.allocation_clean =
         static_cast<double>(r.allocating_ticks) <=
-        config.alloc_tick_fraction * static_cast<double>(r.total_ticks);
+        kAllocTickFraction * static_cast<double>(r.total_ticks);
   }
 
   report.handoff_count = r.handoff_count;

@@ -13,6 +13,8 @@
 #include "dsp/delay_line.hpp"
 #include "dsp/fir_filter.hpp"
 #include "dsp/signal_ops.hpp"
+#include "rf/relay.hpp"
+#include "rf/spectrum_plan.hpp"
 
 namespace mute::sim {
 
@@ -168,7 +170,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   double link_delay_samples = 0.0;
   Signal x_link;
   if (config.use_rf_link) {
-    rf::RelayConfig rf_cfg = config.rf;
+    rf::RelayConfig rf_cfg;
     rf_cfg.audio_rate = fs;
     rf::RelayLink link(rf_cfg, config.seed + 23);
     link_delay_samples = link.measure_latency_samples();
@@ -336,8 +338,9 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   // --- 10. Streaming ANC loop ------------------------------------------
   result.residual.resize(n);
   result.anti_at_ear.resize(n);
-  Signal error_queue(config.error_feedback_delay_samples, 0.0f);
-  std::size_t eq_pos = 0;
+  // Feedback returns over RF with a delay (tabletop/edge variants); a
+  // delay of 0 is the wired error mic.
+  mute::dsp::DelayLine feedback_delay(config.error_feedback_delay_samples);
   const bool schedule_mu = config.mu_settle > 0 && config.mu_settle < config.mu;
   for (std::size_t t = 0; t < n; ++t) {
     if (schedule_mu && (t & 0x3F) == 0) {
@@ -353,16 +356,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
         static_cast<Sample>(static_cast<double>(d_at_ear[t]) +
                             static_cast<double>(anti));
     const Sample e = err_mic.process(at_ear);
-    const Sample e_adapt = error_lpf.process(e);
-    if (error_queue.empty()) {
-      lanc.observe_error(e_adapt);
-    } else {
-      // Feedback returns over RF with a delay (tabletop/edge variants).
-      const Sample delayed = error_queue[eq_pos];
-      error_queue[eq_pos] = e_adapt;
-      eq_pos = (eq_pos + 1) % error_queue.size();
-      lanc.observe_error(delayed);
-    }
+    lanc.observe_error(feedback_delay.process(error_lpf.process(e)));
     result.residual[t] = meas_mic_resid.process(at_ear);
     result.anti_at_ear[t] = anti;
   }
@@ -459,7 +453,7 @@ DeviceStreams prepare_acoustic_streams(audio::SoundSource& noise,
 }
 
 // --- 3. Per-relay RF chains: the one place a relay link is set up (the
-//        scenario's RF config at the scene rate, relay k's fault script,
+//        default relay chain at the scene rate, relay k's fault script,
 //        seed + 100 + k). None without use_rf_link. --------------------
 std::vector<rf::RelayLink> make_relay_links(const DeviceSimConfig& config,
                                             std::size_t relay_count) {
@@ -467,7 +461,7 @@ std::vector<rf::RelayLink> make_relay_links(const DeviceSimConfig& config,
   if (!config.use_rf_link) return links;
   links.reserve(relay_count);
   for (std::size_t k = 0; k < relay_count; ++k) {
-    rf::RelayConfig rf_cfg = config.rf;
+    rf::RelayConfig rf_cfg;
     rf_cfg.audio_rate = config.scene.sample_rate;
     if (k < config.relay_faults.size()) rf_cfg.faults = config.relay_faults[k];
     links.emplace_back(rf_cfg, config.seed + 100 + k);
@@ -511,7 +505,7 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
   // --- 6. Spectrum planner ----------------------------------------------
   std::optional<rf::SpectrumPlanner> planner;
   if (config.spectrum_supervision) {
-    rf::SpectrumPlannerOptions popt = config.planner;
+    rf::SpectrumPlannerOptions popt;
     popt.channel_count = std::max(popt.channel_count, relay_count);
     planner.emplace(relay_count, popt);
     // Mirror the planner's frequency-division assignment into the links so

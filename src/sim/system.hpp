@@ -10,8 +10,7 @@
 #include "core/lanc.hpp"
 #include "core/mute_device.hpp"
 #include "core/timing.hpp"
-#include "rf/relay.hpp"
-#include "rf/spectrum_plan.hpp"
+#include "rf/impairments.hpp"
 #include "sim/passive.hpp"
 #include "sim/session.hpp"
 
@@ -35,7 +34,6 @@ struct SystemConfig {
   // Reference acquisition; false = wired (headphone-mounted) ref mic.
   // Link faults and their supervision run on the device sim.
   bool use_rf_link = true;            // push reference through the FM chain
-  rf::RelayConfig rf{};
   double extra_reference_delay_s = 0.0;  // Figure 16 delayed-line injection
 
   // Processing-latency budget (Equation 3).
@@ -214,7 +212,6 @@ struct DeviceSimConfig {
   /// Push every relay's reference through its own FM chain. Required for
   /// the scripted fault scenarios (faults live in the RF layer).
   bool use_rf_link = true;
-  rf::RelayConfig rf{};
   /// Per-relay scripted faults; index k applies to relay k (missing
   /// entries mean a benign link). See sim::make_fault_schedule.
   std::vector<rf::FaultSchedule> relay_faults;
@@ -232,7 +229,6 @@ struct DeviceSimConfig {
   /// device.link_supervision (the evidence) and use_rf_link (something to
   /// retune). Off = plain device physics.
   bool spectrum_supervision = false;
-  rf::SpectrumPlannerOptions planner{};
   /// RF streaming block and planner consult cadence (16 ms default —
   /// control-plane latency, far below any fault hold timeout). Every RF
   /// stage is streaming-stateful, so the block size never reaches the

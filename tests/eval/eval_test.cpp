@@ -46,6 +46,24 @@ TEST(Metrics, BandCancellationSeesShapedResidual) {
   EXPECT_NEAR(hf, 0.0, 1.0);
 }
 
+TEST(Metrics, WindowCancellationReadsPowerRatioOverTheWindow) {
+  audio::WhiteNoiseSource noise(0.2, 4);
+  const auto d = noise.generate(16000);  // 1 s
+  EXPECT_DOUBLE_EQ(window_cancellation_db(d, d, kFs, 0.25, 0.75), 0.0);
+
+  Signal half(d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    half[i] = static_cast<Sample>(static_cast<double>(d[i]) * std::sqrt(0.5));
+  }
+  EXPECT_NEAR(window_cancellation_db(d, half, kFs, 0.0, 1.0), -3.0103, 1e-3);
+
+  // Residual twice the disturbance over the second half only: a window
+  // from 0.5 s running a second past the record reads that half alone.
+  Signal louder(d.begin(), d.end());
+  for (std::size_t i = d.size() / 2; i < d.size(); ++i) louder[i] *= 2.0f;
+  EXPECT_NEAR(window_cancellation_db(d, louder, kFs, 0.5, 2.0), 6.0206, 1e-3);
+}
+
 TEST(Metrics, AtFindsNearestBin) {
   CancellationSpectrum s;
   s.freq_hz = {0.0, 100.0, 200.0};

@@ -13,7 +13,7 @@
 
 #include "acoustics/environment.hpp"
 #include "audio/generators.hpp"
-#include "common/math_utils.hpp"
+#include "eval/metrics.hpp"
 #include "sim/fleet.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
@@ -36,16 +36,8 @@ DeviceSimConfig two_relay_config() {
 }
 
 double window_db(const SystemResult& r, double t0, double t1) {
-  const auto i0 = static_cast<std::size_t>(t0 * r.sample_rate);
-  const auto i1 = static_cast<std::size_t>(t1 * r.sample_rate);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = i0; i < i1 && i < r.residual.size(); ++i) {
-    num += static_cast<double>(r.residual[i]) *
-           static_cast<double>(r.residual[i]);
-    den += static_cast<double>(r.disturbance[i]) *
-           static_cast<double>(r.disturbance[i]);
-  }
-  return power_to_db(num / std::max(den, 1e-20));
+  return eval::window_cancellation_db(r.disturbance, r.residual,
+                                     r.sample_rate, t0, t1);
 }
 
 TEST(MeshSim, SupervisionOffIsBitIdenticalToTheDeviceSim) {
@@ -175,7 +167,7 @@ TEST(MeshSim, HoppingDodgesAChannelPinnedJammerWithoutAHandoff) {
   EXPECT_LT(window_db(r, kDuration - 1.0, kDuration), pre_db + 3.0);
 
   // And the ear was never meaningfully louder than passive meanwhile.
-  // +3 dB margin (the soak harness's louder_margin_db): a jammer capture
+  // +3 dB margin (NeverLouderAccountant::kLouderMarginDb): a jammer capture
   // feeds the filter demod garbage for the few ms of detection lag, a
   // transient a dropout does not have, so the +1 dB dropout bound is too
   // tight for the onset window.
